@@ -55,12 +55,13 @@ impl Default for SweepOptions {
 /// `min_participants` participants: every subset of processes of
 /// sufficient size, with every assignment of values to it.
 ///
-/// Faces are returned **largest first**. The task-complex builders rely
-/// on this: feeding all full-participation faces before any smaller one
-/// keeps the shared facet anti-chain size-uniform for the bulk of the
-/// insertions, which lets [`IdComplex::add_simplex`] skip its
-/// absorption scans (the lower-participation executions are faces of
-/// full-participation ones and are absorbed on arrival).
+/// Faces are returned **largest first**. The task-complex builders feed
+/// them in this order, and the order fixes the result's vertex pool:
+/// ids are assigned in discovery order, so the face order determines
+/// pool ids and with them structural store addresses, the solver's
+/// search order and every work counter. It no longer matters for speed:
+/// [`IdComplex::add_simplex`] absorbs mixed-size facets through its
+/// incidence index in any order.
 ///
 /// [`IdComplex::add_simplex`]: ps_topology::IdComplex::add_simplex
 pub fn input_faces(

@@ -75,6 +75,20 @@ impl Args {
         }
     }
 
+    /// A `u32` option with a default; values above `u32::MAX` are an
+    /// error, not truncated.
+    pub fn u32_opt(&self, key: &str, default: u32) -> Result<u32, ArgError> {
+        match self.options.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| {
+                ArgError(format!(
+                    "--{key} expects an integer in 0..={}, got `{v}`",
+                    u32::MAX
+                ))
+            }),
+        }
+    }
+
     /// An `i32` option with a default.
     pub fn i32_opt(&self, key: &str, default: i32) -> Result<i32, ArgError> {
         match self.options.get(key) {
@@ -132,7 +146,11 @@ mod tests {
         let b = parse(&["x", "--n=abc"]);
         assert!(b.usize_opt("n", 0).is_err());
         assert!(b.u64_opt("n", 0).is_err());
+        assert!(b.u32_opt("n", 0).is_err());
         assert!(b.i32_opt("n", 0).is_err());
+        let c = parse(&["x", "--p", "4294967298"]);
+        assert!(c.u32_opt("p", 2).is_err(), "no silent truncation to 2");
+        assert_eq!(c.usize_opt("p", 2).unwrap(), 4_294_967_298);
     }
 
     #[test]

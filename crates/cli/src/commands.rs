@@ -147,6 +147,18 @@ fn family_opt(args: &Args) -> Result<GraphFamily, ArgError> {
     }
 }
 
+/// Rejects process counts the dynamic model cannot enumerate (more than
+/// [`DynamicModel::MAX_PROCESSES`]) before any graph is built.
+fn check_dynamic_procs(n: usize) -> Result<(), String> {
+    if n > DynamicModel::MAX_PROCESSES {
+        return Err(format!(
+            "the dynamic model supports at most {} processes, got {n}",
+            DynamicModel::MAX_PROCESSES
+        ));
+    }
+    Ok(())
+}
+
 /// Resolves the model name from `--model NAME` or the first positional
 /// argument and validates it against `valid`. Unknown names are
 /// rejected with the full list of valid models — never silently mapped
@@ -317,7 +329,7 @@ fn complex(args: &Args) -> Result<(), ArgError> {
     let n = args.usize_opt("procs", 3)?;
     let f = args.usize_opt("f", 1)?;
     let k = args.usize_opt("k", 1)?;
-    let p = args.usize_opt("p", 2)? as u32;
+    let p = args.u32_opt("p", 2)?;
     let t = args.usize_opt("t", 1)?;
     let rounds = args.usize_opt("rounds", 1)?;
     let format = args.str_opt("format", "summary");
@@ -346,6 +358,7 @@ fn complex(args: &Args) -> Result<(), ArgError> {
             render(&m.protocol_complex(&input, rounds), &title, &format)?
         }
         "dynamic" => {
+            check_dynamic_procs(n).map_err(ArgError)?;
             let m = DynamicModel::new(n, family_opt(args)?);
             render(&m.protocol_complex(&input, rounds), &title, &format)?
         }
@@ -359,7 +372,7 @@ fn prove(args: &Args) -> Result<(), ArgError> {
     let model = model_arg(args, &["sync", "semisync"])?;
     let n = args.usize_opt("procs", 3)?;
     let k = args.usize_opt("k", 1)?;
-    let p = args.usize_opt("p", 2)? as u32;
+    let p = args.u32_opt("p", 2)?;
     let inputs: Vec<u8> = (0..n as u8).collect();
     let input = input_simplex(&inputs);
     match model.as_str() {
@@ -407,7 +420,7 @@ fn solve(args: &Args) -> Result<(), ArgError> {
     let n = args.usize_opt("procs", 3)?;
     let f = args.usize_opt("f", 1)?;
     let k = args.usize_opt("k", 1)?;
-    let p = args.usize_opt("p", 2)? as u32;
+    let p = args.u32_opt("p", 2)?;
     let t = args.usize_opt("t", 1)?;
     let rounds = args.usize_opt("rounds", 1)?;
     let opts = sweep_options(args)?;
@@ -429,6 +442,7 @@ fn solve(args: &Args) -> Result<(), ArgError> {
             format!("t = {t}"),
         ),
         "dynamic" => {
+            check_dynamic_procs(n).map_err(ArgError)?;
             let family = family_opt(args)?;
             (
                 dynamic_solvable_opts(k, n, family, rounds, opts),
@@ -466,10 +480,13 @@ fn grid_points(args: &Args, model: &str) -> Result<(Vec<SweepPoint>, GridParams)
     let n = args.usize_opt("procs", 3)?;
     let f = args.usize_opt("f", 1)?;
     let k_max = args.usize_opt("k", 1)?;
-    let p = args.usize_opt("p", 2)? as u32;
+    let p = args.u32_opt("p", 2)?;
     let t = args.usize_opt("t", 1)?;
     let family = family_opt(args)?;
     let r_max = args.usize_opt("rounds", 1)?;
+    if model == "dynamic" {
+        check_dynamic_procs(n).map_err(ArgError)?;
+    }
     let mut points = Vec::new();
     for k in 1..=k_max.max(1) {
         for rounds in 1..=r_max.max(1) {
@@ -713,12 +730,15 @@ fn parse_query(line: &str) -> Result<SweepPoint, String> {
             })
             .collect::<Result<_, _>>()?;
         return match nums.as_slice() {
-            &[k, n, r] => Ok(SweepPoint::Dynamic {
-                k,
-                n_plus_1: n,
-                family,
-                rounds: r,
-            }),
+            &[k, n, r] => {
+                check_dynamic_procs(n)?;
+                Ok(SweepPoint::Dynamic {
+                    k,
+                    n_plus_1: n,
+                    family,
+                    rounds: r,
+                })
+            }
             _ => Err("dynamic expects `dynamic K N R <rooted|strong>`".into()),
         };
     }
@@ -748,7 +768,8 @@ fn parse_query(line: &str) -> Result<SweepPoint, String> {
             f,
             n_plus_1: n,
             k_per_round: kpr,
-            microrounds: p as u32,
+            microrounds: u32::try_from(p)
+                .map_err(|_| format!("P = {p} exceeds {} microrounds", u32::MAX))?,
             rounds: r,
         }),
         ("byzantine", &[k, t, n, r]) => Ok(SweepPoint::Byzantine {
@@ -940,7 +961,7 @@ fn homology_model(args: &Args, model: &str) -> Result<(), ArgError> {
     let n = args.usize_opt("procs", 3)?;
     let f = args.usize_opt("f", 1)?;
     let k = args.usize_opt("k", 1)?;
-    let p = args.usize_opt("p", 2)? as u32;
+    let p = args.u32_opt("p", 2)?;
     let t_byz = args.usize_opt("t", 1)?;
     let rounds = args.usize_opt("rounds", 1)?;
     let kpr = k.max(1).min(f.max(1));
@@ -975,6 +996,7 @@ fn homology_model(args: &Args, model: &str) -> Result<(), ArgError> {
             (id, t, o)
         }
         "dynamic" => {
+            check_dynamic_procs(n).map_err(ArgError)?;
             let (pool, id) = dynamic_task_parts(&values, n, family_opt(args)?, rounds);
             let t = t0.elapsed();
             let o = want_oracle.then(|| dense_oracle_timed(&pool, &id));

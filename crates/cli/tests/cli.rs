@@ -250,6 +250,73 @@ fn errors_are_reported() {
 }
 
 #[test]
+fn dynamic_procs_beyond_graph_mask_rejected() {
+    // 9 processes have 72 ordered pairs, more than the 64-bit edge mask
+    // holds; the shifts used to wrap and answer on the wrong complex
+    for cmd in ["solve", "sweep", "complex", "homology"] {
+        let (stdout, stderr, ok) = psph(&[cmd, "dynamic", "--procs", "9"]);
+        assert!(!ok, "{cmd}: {stdout}");
+        assert!(
+            stderr.contains("the dynamic model supports at most 8 processes, got 9"),
+            "{cmd}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{cmd} printed a verdict: {stdout}");
+    }
+}
+
+#[test]
+fn microrounds_beyond_u32_rejected() {
+    // 4294967298 = 2^32 + 2 used to run as --p 2
+    for cmd in ["solve", "sweep"] {
+        let (stdout, stderr, ok) = psph(&[cmd, "semisync", "--p", "4294967298"]);
+        assert!(!ok, "{cmd}: {stdout}");
+        assert!(
+            stderr.contains("--p expects an integer in 0..=4294967295, got `4294967298`"),
+            "{cmd}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{cmd} printed a verdict: {stdout}");
+    }
+}
+
+/// Runs `psph serve` on one query and returns its output.
+fn serve_one(name: &str, query: &str) -> String {
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("queries.txt");
+    std::fs::write(&input, query).unwrap();
+    let (out, _, ok) = psph(&["serve", "--input", input.to_str().unwrap()]);
+    assert!(ok, "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+#[test]
+fn serve_rejects_dynamic_procs_beyond_graph_mask() {
+    let out = serve_one("psph-cli-serve-dynamic-9", "dynamic 1 9 1 rooted\n");
+    assert!(
+        out.contains("parse error (line skipped): the dynamic model supports at most 8 processes"),
+        "{out}"
+    );
+    assert!(!out.contains("n=9"), "no verdict expected: {out}");
+    assert!(out.contains("serve session: 0 queries"), "{out}");
+}
+
+#[test]
+fn serve_rejects_microrounds_beyond_u32() {
+    let out = serve_one(
+        "psph-cli-serve-semisync-p",
+        "semisync 1 1 3 1 1 4294967298\n",
+    );
+    assert!(
+        out.contains("parse error (line skipped): P = 4294967298 exceeds 4294967295"),
+        "{out}"
+    );
+    assert!(!out.contains("p=2"), "no verdict expected: {out}");
+    assert!(out.contains("serve session: 0 queries"), "{out}");
+}
+
+#[test]
 fn unknown_model_rejected_with_full_list() {
     // no silent fallback: a bad model name fails and the error names
     // every valid model, new ones included

@@ -21,7 +21,7 @@
 use std::collections::BTreeSet;
 
 use ps_core::{subsets_of_min_size, ProcessId, Pseudosphere, PseudosphereUnion};
-use ps_topology::{Complex, InternedBuilder, Label, Simplex};
+use ps_topology::{for_each_product, Complex, InternedBuilder, Label, Simplex};
 
 use crate::view::{input_views, InputSimplex, View};
 
@@ -150,68 +150,54 @@ impl AsyncModel {
         }
         // one round: each process independently hears a set of ≥ n+1-f
         // participants (including itself)
-        let one = self.one_round_views(state);
-        for facet in one.facets() {
-            self.round_into(facet, rounds - 1, out);
+        let options = self.round_options(state);
+        if rounds == 1 {
+            out.add_pseudosphere(options);
+        } else {
+            for_each_product(&options, |facet| {
+                let next = Simplex::new(facet.iter().map(|v| (*v).clone()).collect());
+                self.round_into(&next, rounds - 1, out);
+            });
         }
     }
 
-    /// One round applied to a simplex of views: the facets are all
-    /// combinations of admissible heard-sets (the realized Lemma 11
-    /// pseudosphere, with view labels).
-    fn one_round_views<I: Label>(&self, state: &Simplex<View<I>>) -> Complex<View<I>> {
+    /// One round applied to a simplex of views, as the slots of the
+    /// Lemma 11 pseudosphere: per sender in process order, its
+    /// end-of-round views (one per admissible heard set), sorted.
+    fn round_options<I: Label>(&self, state: &Simplex<View<I>>) -> Vec<Vec<View<I>>> {
         let senders: Vec<&View<I>> = state.vertices().iter().collect();
         let ids: BTreeSet<ProcessId> = senders.iter().map(|v| v.process()).collect();
         assert_eq!(ids.len(), senders.len(), "duplicate process in state");
         if ids.len() < self.min_heard() {
-            return Complex::new();
+            return Vec::new();
         }
-        // per-process admissible heard sets
-        let choices: Vec<Vec<BTreeSet<ProcessId>>> = senders
+        let view_of =
+            |p: &ProcessId| -> &View<I> { senders.iter().find(|v| v.process() == *p).unwrap() };
+        senders
             .iter()
             .map(|v| {
                 let me = v.process();
                 let others: BTreeSet<ProcessId> =
                     ids.iter().copied().filter(|q| *q != me).collect();
-                subsets_of_min_size(&others, self.min_heard().saturating_sub(1))
-                    .into_iter()
-                    .map(|mut m| {
-                        m.insert(me);
-                        m
+                // Views of one process sort by heard set (their heard
+                // maps agree on every common key).
+                let heard_sets: BTreeSet<BTreeSet<ProcessId>> =
+                    subsets_of_min_size(&others, self.min_heard().saturating_sub(1))
+                        .into_iter()
+                        .map(|mut m| {
+                            m.insert(me);
+                            m
+                        })
+                        .collect();
+                heard_sets
+                    .iter()
+                    .map(|heard| View::Round {
+                        process: me,
+                        heard: heard.iter().map(|q| (*q, view_of(q).clone())).collect(),
                     })
                     .collect()
             })
-            .collect();
-        let view_of =
-            |p: ProcessId| -> &View<I> { senders.iter().find(|v| v.process() == p).unwrap() };
-        // All facets are distinct with one vertex per sender, hence an
-        // anti-chain: no absorption scans needed.
-        let mut out = InternedBuilder::new();
-        let mut idx = vec![0usize; senders.len()];
-        loop {
-            out.add_facet_vertices_unchecked(senders.iter().enumerate().map(|(j, v)| {
-                let heard_ids = &choices[j][idx[j]];
-                View::Round {
-                    process: v.process(),
-                    heard: heard_ids
-                        .iter()
-                        .map(|q| (*q, view_of(*q).clone()))
-                        .collect(),
-                }
-            }));
-            let mut i = 0;
-            loop {
-                if i == senders.len() {
-                    return out.finish();
-                }
-                idx[i] += 1;
-                if idx[i] < choices[i].len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
+            .collect()
     }
 
     /// Lemma 12's claimed connectivity of `A^r(S^m)`:
@@ -289,10 +275,10 @@ impl AsyncModel {
             out.push(Pseudosphere::new(base, families).expect("families cover base"));
             return;
         }
-        let one = self.one_round_views(state);
-        for facet in one.facets() {
-            self.symbolic_rec(facet, rounds - 1, out);
-        }
+        for_each_product(&self.round_options(state), |facet| {
+            let next = Simplex::new(facet.iter().map(|v| (*v).clone()).collect());
+            self.symbolic_rec(&next, rounds - 1, out);
+        });
     }
 }
 

@@ -74,6 +74,11 @@ pub struct DynamicModel {
 }
 
 impl DynamicModel {
+    /// The most processes [`DynamicModel::round_graphs`] can enumerate:
+    /// graphs are edge bitmasks over the `m(m−1)` ordered pairs, which
+    /// must fit in 64 bits (`8 · 7 = 56`, `9 · 8 = 72`).
+    pub const MAX_PROCESSES: usize = 8;
+
     /// Creates the model.
     ///
     /// # Panics
@@ -87,6 +92,11 @@ impl DynamicModel {
     /// The adversary's graph set over `participants`, each graph given
     /// as `receiver ↦ heard set` (in-neighbours plus self), enumerated
     /// in edge-bitmask order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`DynamicModel::MAX_PROCESSES`]
+    /// participants.
     pub fn round_graphs(
         &self,
         participants: &BTreeSet<ProcessId>,
@@ -96,6 +106,11 @@ impl DynamicModel {
         let edges: Vec<(usize, usize)> = (0..m)
             .flat_map(|i| (0..m).filter(move |&j| j != i).map(move |j| (i, j)))
             .collect();
+        assert!(
+            edges.len() < 64,
+            "graph enumeration needs m(m−1) < 64 edges; {m} processes exceed \
+             DynamicModel::MAX_PROCESSES"
+        );
         let mut out = Vec::new();
         for mask in 0u64..(1u64 << edges.len()) {
             let mut adj = vec![vec![false; m]; m];
@@ -215,6 +230,14 @@ mod tests {
         let strong = DynamicModel::new(2, GraphFamily::StronglyConnected);
         assert_eq!(rooted.round_graphs(&process_set(2)).len(), 3);
         assert_eq!(strong.round_graphs(&process_set(2)).len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "m(m−1) < 64")]
+    fn round_graphs_rejects_edge_masks_wider_than_64_bits() {
+        // 9 · 8 = 72 ordered pairs: the bitmask shifts would wrap
+        let m = DynamicModel::new(9, GraphFamily::Rooted);
+        let _ = m.round_graphs(&process_set(DynamicModel::MAX_PROCESSES + 1));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ps_core::{subsets_up_to_size_lex, ProcessId, Pseudosphere, PseudosphereUnion};
-use ps_topology::{Complex, InternedBuilder, Label, Simplex};
+use ps_topology::{for_each_product, Complex, InternedBuilder, Label, Simplex};
 
 use crate::view::{ss_input_views, InputSimplex, SsView};
 
@@ -307,64 +307,58 @@ impl SemiSyncModel {
         let cap = self.k_per_round.min(budget);
         for k_set in subsets_up_to_size_lex(&ids, cap) {
             for pattern in self.failure_patterns(&k_set) {
-                let one = self.one_round_views(state, &k_set, &pattern);
-                for facet in one.facets() {
-                    self.rec_into(facet, budget - k_set.len(), rounds - 1, out);
+                let options = self.round_options(state, &k_set, &pattern);
+                if rounds == 1 {
+                    out.add_pseudosphere(options);
+                } else {
+                    for_each_product(&options, |facet| {
+                        let next = Simplex::new(facet.iter().map(|v| (*v).clone()).collect());
+                        self.rec_into(&next, budget - k_set.len(), rounds - 1, out);
+                    });
                 }
             }
         }
     }
 
-    /// One semi-synchronous round on a simplex of views: the realized
-    /// Lemma 19 pseudosphere with [`SsView`] labels.
-    fn one_round_views<I: Label>(
+    /// One semi-synchronous round on a simplex of views, as the slots of
+    /// the Lemma 19 pseudosphere `ψ(state\K; [F])`: per survivor in
+    /// process order, its end-of-round views (one per view vector of
+    /// `[F]`, processes with `μ = 0` left out), sorted.
+    fn round_options<I: Label>(
         &self,
         state: &Simplex<SsView<I>>,
         k_set: &BTreeSet<ProcessId>,
         pattern: &FailurePattern,
-    ) -> Complex<SsView<I>> {
-        let senders: Vec<&SsView<I>> = state.vertices().iter().collect();
-        let ids: BTreeSet<ProcessId> = senders.iter().map(|v| v.process()).collect();
-        let survivors: Vec<&SsView<I>> = senders
-            .iter()
-            .copied()
-            .filter(|v| !k_set.contains(&v.process()))
+    ) -> Vec<Vec<SsView<I>>> {
+        let ids: BTreeSet<ProcessId> = state.vertices().iter().map(|v| v.process()).collect();
+        let view_of = |p: &ProcessId| -> &SsView<I> {
+            state.vertices().iter().find(|v| v.process() == *p).unwrap()
+        };
+        // Distinct view vectors stay distinct after the μ > 0 filter, and
+        // views of one process sort by their (q, μ) sequence (their heard
+        // maps agree on every common key's view).
+        let heard: BTreeSet<Vec<(ProcessId, u32)>> = self
+            .view_box(&ids, pattern)
+            .into_iter()
+            .map(|vector| vector.into_iter().filter(|(_, mu)| *mu > 0).collect())
             .collect();
-        let mut out = InternedBuilder::new();
-        if survivors.is_empty() {
-            return out.finish();
-        }
-        let view_of =
-            |p: ProcessId| -> &SsView<I> { senders.iter().find(|v| v.process() == p).unwrap() };
-        let box_views = self.view_box(&ids, pattern);
-        let mut idx = vec![0usize; survivors.len()];
-        loop {
-            // Distinct view vectors stay distinct after the μ > 0 filter,
-            // so the odometer emits an anti-chain of equal-dim facets.
-            out.add_facet_vertices_unchecked(survivors.iter().zip(&idx).map(|(v, &i)| {
-                let vector = &box_views[i];
-                SsView::Round {
-                    process: v.process(),
-                    heard: vector
-                        .iter()
-                        .filter(|(_, mu)| **mu > 0)
-                        .map(|(q, mu)| (*q, (*mu, view_of(*q).clone())))
-                        .collect(),
-                }
-            }));
-            let mut i = 0;
-            loop {
-                if i == survivors.len() {
-                    return out.finish();
-                }
-                idx[i] += 1;
-                if idx[i] < box_views.len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
+        state
+            .vertices()
+            .iter()
+            .filter(|v| !k_set.contains(&v.process()))
+            .map(|v| {
+                heard
+                    .iter()
+                    .map(|entries| SsView::Round {
+                        process: v.process(),
+                        heard: entries
+                            .iter()
+                            .map(|(q, mu)| (*q, (*mu, view_of(q).clone())))
+                            .collect(),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Lemma 21's claimed connectivity of `M^r(S^m)`:
@@ -392,6 +386,19 @@ mod tests {
 
     fn model() -> SemiSyncModel {
         SemiSyncModel::new(3, 1, 1, 2) // 3 procs, ≤1 failure, p = 2
+    }
+
+    /// One round with failure set `K` and pattern `F`, realized through
+    /// the shared pseudosphere emitter.
+    fn one_round_views(
+        m: &SemiSyncModel,
+        state: &Simplex<SsView<u8>>,
+        k_set: &BTreeSet<ProcessId>,
+        pattern: &FailurePattern,
+    ) -> Complex<SsView<u8>> {
+        let mut out = InternedBuilder::new();
+        out.add_pseudosphere(m.round_options(state, k_set, pattern));
+        out.finish()
     }
 
     #[test]
@@ -464,7 +471,7 @@ mod tests {
         let k: BTreeSet<ProcessId> = [pid(2)].into_iter().collect();
         for pattern in m.failure_patterns(&k) {
             let sym = m.member_pseudosphere(&input, &k, &pattern).realize();
-            let views = m.one_round_views(&ss_input_views(&input), &k, &pattern);
+            let views = one_round_views(&m, &ss_input_views(&input), &k, &pattern);
             assert!(are_isomorphic(&sym, &views), "pattern {pattern:?} mismatch");
         }
     }

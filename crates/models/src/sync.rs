@@ -19,7 +19,7 @@
 use std::collections::BTreeSet;
 
 use ps_core::{subsets_up_to_size_lex, ProcessId, Pseudosphere, PseudosphereUnion};
-use ps_topology::{Complex, InternedBuilder, Label, Simplex};
+use ps_topology::{for_each_product, Complex, InternedBuilder, Label, Simplex};
 
 use crate::view::{input_views, InputSimplex, View};
 
@@ -189,63 +189,55 @@ impl SyncModel {
         let ids: BTreeSet<ProcessId> = state.vertices().iter().map(|v| v.process()).collect();
         let cap = self.k_per_round.min(budget);
         for failure_set in subsets_up_to_size_lex(&ids, cap) {
-            let one = self.one_round_views(state, &failure_set);
-            for facet in one.facets() {
-                self.rec_into(facet, budget - failure_set.len(), rounds - 1, out);
+            let options = self.round_options(state, &failure_set);
+            if rounds == 1 {
+                out.add_pseudosphere(options);
+            } else {
+                for_each_product(&options, |facet| {
+                    let next = Simplex::new(facet.iter().map(|v| (*v).clone()).collect());
+                    self.rec_into(&next, budget - failure_set.len(), rounds - 1, out);
+                });
             }
         }
     }
 
-    /// One synchronous round on a simplex of views with failure set `K`:
-    /// the realized `ψ(state\K; 2^K)` with view labels.
-    fn one_round_views<I: Label>(
+    /// One synchronous round on a simplex of views with failure set `K`,
+    /// as the slots of the pseudosphere `ψ(state\K; 2^K)`: per survivor
+    /// in process order, its end-of-round views (it hears all survivors
+    /// plus any subset of `K`), sorted.
+    fn round_options<I: Label>(
         &self,
         state: &Simplex<View<I>>,
         failure_set: &BTreeSet<ProcessId>,
-    ) -> Complex<View<I>> {
-        let senders: Vec<&View<I>> = state.vertices().iter().collect();
-        let survivors: Vec<&View<I>> = senders
+    ) -> Vec<Vec<View<I>>> {
+        let (survivors, failed): (Vec<&View<I>>, Vec<&View<I>>) = state
+            .vertices()
             .iter()
-            .copied()
-            .filter(|v| !failure_set.contains(&v.process()))
-            .collect();
-        if survivors.is_empty() {
-            return Complex::new();
-        }
+            .partition(|v| !failure_set.contains(&v.process()));
         let survivor_ids: BTreeSet<ProcessId> = survivors.iter().map(|v| v.process()).collect();
-        let fail_in: BTreeSet<ProcessId> = senders
+        let fail_in: BTreeSet<ProcessId> = failed.iter().map(|v| v.process()).collect();
+        // Views of one process sort by heard set (their heard maps agree
+        // on every common key), so sorting the heard sets sorts the views.
+        let heard_sets: BTreeSet<BTreeSet<ProcessId>> =
+            subsets_up_to_size_lex(&fail_in, fail_in.len())
+                .into_iter()
+                .map(|l| survivor_ids.union(&l).copied().collect())
+                .collect();
+        let view_of = |p: &ProcessId| -> &View<I> {
+            state.vertices().iter().find(|v| v.process() == *p).unwrap()
+        };
+        survivors
             .iter()
-            .map(|v| v.process())
-            .filter(|p| failure_set.contains(p))
-            .collect();
-        let view_of =
-            |p: ProcessId| -> &View<I> { senders.iter().find(|v| v.process() == p).unwrap() };
-        let subsets = subsets_up_to_size_lex(&fail_in, fail_in.len());
-        // All facets are distinct and of equal dimension (one vertex per
-        // survivor), hence an anti-chain: no absorption scans needed.
-        let mut out = InternedBuilder::new();
-        let mut idx = vec![0usize; survivors.len()];
-        loop {
-            out.add_facet_vertices_unchecked(survivors.iter().zip(&idx).map(|(v, &i)| {
-                let heard: BTreeSet<ProcessId> = survivor_ids.union(&subsets[i]).copied().collect();
-                View::Round {
-                    process: v.process(),
-                    heard: heard.iter().map(|q| (*q, view_of(*q).clone())).collect(),
-                }
-            }));
-            let mut i = 0;
-            loop {
-                if i == survivors.len() {
-                    return out.finish();
-                }
-                idx[i] += 1;
-                if idx[i] < subsets.len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
+            .map(|v| {
+                heard_sets
+                    .iter()
+                    .map(|heard| View::Round {
+                        process: v.process(),
+                        heard: heard.iter().map(|q| (*q, view_of(q).clone())).collect(),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Lemma 16/17's claimed connectivity of `S^r(S^m)`:
@@ -345,10 +337,10 @@ impl SyncModel {
                     .collect();
                 out.push(Pseudosphere::new(base, families).expect("families cover base"));
             } else {
-                let one = self.one_round_views(state, &failure_set);
-                for facet in one.facets() {
-                    self.symbolic_rec(facet, budget - failure_set.len(), rounds - 1, out);
-                }
+                for_each_product(&self.round_options(state, &failure_set), |facet| {
+                    let next = Simplex::new(facet.iter().map(|v| (*v).clone()).collect());
+                    self.symbolic_rec(&next, budget - failure_set.len(), rounds - 1, out);
+                });
             }
         }
     }
@@ -363,6 +355,18 @@ mod tests {
 
     fn fig3_model() -> SyncModel {
         SyncModel::new(3, 1, 1)
+    }
+
+    /// One round with failure set `K`, realized through the shared
+    /// pseudosphere emitter.
+    fn one_round_views(
+        m: &SyncModel,
+        state: &Simplex<View<u8>>,
+        failure_set: &BTreeSet<ProcessId>,
+    ) -> Complex<View<u8>> {
+        let mut out = InternedBuilder::new();
+        out.add_pseudosphere(m.round_options(state, failure_set));
+        out.finish()
     }
 
     fn pid(i: u32) -> ProcessId {
@@ -420,7 +424,7 @@ mod tests {
         let input = input_simplex(&[0u8, 1, 2]);
         for k_set in subsets_up_to_size_lex(&ps_core::process_set(3), 2) {
             let sym = m.one_round_failure_pseudosphere(&input, &k_set).realize();
-            let views = m.one_round_views(&input_views(&input), &k_set);
+            let views = one_round_views(&m, &input_views(&input), &k_set);
             assert!(are_isomorphic(&sym, &views), "K = {k_set:?} mismatch");
         }
     }
@@ -561,7 +565,7 @@ mod tests {
         let m = fig3_model();
         let input = input_simplex(&[0u8, 1, 2]);
         let k: BTreeSet<ProcessId> = [pid(0)].into_iter().collect();
-        let one = m.one_round_views(&input_views(&input), &k);
+        let one = one_round_views(&m, &input_views(&input), &k);
         for f in one.facets() {
             for v in f.vertices() {
                 assert_ne!(v.process(), pid(0));

@@ -165,6 +165,11 @@ pub fn enumerate_dynamic_views(
 /// transitive closure.
 fn admissible_masks(m: usize, family: GraphFamily) -> Vec<u64> {
     let edge_count = m * m.saturating_sub(1);
+    assert!(
+        edge_count < 64,
+        "graph enumeration needs m(m−1) < 64 edges; {m} processes exceed \
+         DynamicModel::MAX_PROCESSES"
+    );
     let mut out = Vec::new();
     for mask in 0u64..(1u64 << edge_count) {
         let mut reach = vec![vec![false; m]; m];

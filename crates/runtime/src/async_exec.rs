@@ -390,8 +390,8 @@ pub fn enumerate_async_views(
         .map(|p| (*p, protocol.init(*p, n_plus_1, inputs[p.index()])))
         .collect();
     // Views intern once into a shared pool; every leaf facet spans the
-    // full participant set, so equal-dim facets form an anti-chain and
-    // absorption scans are skipped (the set dedups repeats).
+    // full participant set, so the facets stay size-uniform and
+    // insertion needs no absorption work (the set dedups repeats).
     let mut out = InternedBuilder::new();
     rec(
         &protocol,
@@ -414,7 +414,7 @@ pub fn enumerate_async_views(
         out: &mut InternedBuilder<View<u8>>,
     ) {
         if rounds == 0 {
-            out.add_facet_vertices_unchecked(states.into_values());
+            out.add_facet_vertices(states.into_values());
             return;
         }
         let procs: Vec<ProcessId> = participants.iter().copied().collect();

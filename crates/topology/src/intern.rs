@@ -509,19 +509,137 @@ impl ExactSizeIterator for IdIter<'_> {}
 /// A simplicial complex over dense vertex ids: the facet anti-chain of
 /// [`Complex`], with the vertex set and dimension cached (both are
 /// monotone under facet insertion, so the caches never need rebuilding).
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(Default)]
 pub struct IdComplex {
     facets: BTreeSet<IdSimplex>,
     vertices: BTreeSet<u32>,
     dim: i32,
     /// Histogram of facet sizes (vertex counts). Kept exact so
-    /// [`IdComplex::add_simplex`] can skip absorption scans whenever
+    /// [`IdComplex::add_simplex`] can skip absorption entirely whenever
     /// every stored facet has the same size as the incoming one: two
     /// distinct equal-size simplexes are never comparable, so set
     /// insertion alone maintains the anti-chain. Protocol-complex
     /// construction inserts hundreds of thousands of equal-size facets,
     /// which this turns from O(F) into O(log F) each.
     sizes: BTreeMap<usize, usize>,
+    /// Vertex → facet incidence, built on the first insertion that
+    /// mixes facet sizes and kept in step with `facets` from then on.
+    /// A cache: equality ignores it, `Clone` does not copy it, and
+    /// [`InternedBuilder::into_parts`] drops it.
+    incidence: Option<Incidence>,
+}
+
+impl Clone for IdComplex {
+    fn clone(&self) -> Self {
+        IdComplex {
+            facets: self.facets.clone(),
+            vertices: self.vertices.clone(),
+            dim: self.dim,
+            sizes: self.sizes.clone(),
+            incidence: None,
+        }
+    }
+}
+
+impl PartialEq for IdComplex {
+    fn eq(&self, other: &Self) -> bool {
+        self.facets == other.facets
+            && self.vertices == other.vertices
+            && self.dim == other.dim
+            && self.sizes == other.sizes
+    }
+}
+
+impl Eq for IdComplex {}
+
+/// The incidence index behind mixed-size absorption: every stored facet
+/// in a slot, and for every vertex the slots of the facets containing
+/// it. Absorption then looks only at facets sharing a vertex with the
+/// incoming simplex instead of scanning the whole anti-chain.
+#[derive(Default)]
+struct Incidence {
+    /// Stored facets by slot; an absorbed facet's slot is left empty.
+    slots: Vec<IdSimplex>,
+    /// Vertex id ↦ slots of the stored facets containing it.
+    by_vertex: HashMap<u32, Vec<u32>>,
+}
+
+impl Incidence {
+    fn of<'a>(facets: impl IntoIterator<Item = &'a IdSimplex>) -> Self {
+        let mut index = Incidence::default();
+        for f in facets {
+            index.insert(f.clone());
+        }
+        index
+    }
+
+    fn insert(&mut self, f: IdSimplex) {
+        let slot = u32::try_from(self.slots.len()).expect("incidence slot overflow");
+        for v in f.ids() {
+            self.by_vertex.entry(v).or_default().push(slot);
+        }
+        self.slots.push(f);
+    }
+
+    fn remove(&mut self, slot: u32) -> IdSimplex {
+        let f = std::mem::replace(&mut self.slots[slot as usize], IdSimplex::empty());
+        for v in f.ids() {
+            let list = self
+                .by_vertex
+                .get_mut(&v)
+                .expect("every vertex of a stored facet is indexed");
+            let at = list
+                .iter()
+                .position(|&x| x == slot)
+                .expect("a stored facet is listed under each of its vertices");
+            list.swap_remove(at);
+        }
+        f
+    }
+
+    fn containing(&self, v: u32) -> &[u32] {
+        self.by_vertex.get(&v).map_or(&[], Vec::as_slice)
+    }
+
+    /// `true` iff some stored facet contains `s`. Such a facet contains
+    /// `s`'s rarest vertex, so only that vertex's facets are tested.
+    fn covers(&self, s: &IdSimplex) -> bool {
+        let rarest = s
+            .ids()
+            .map(|v| self.containing(v))
+            .min_by_key(|facets| facets.len())
+            .unwrap_or(&[]);
+        rarest
+            .iter()
+            .any(|&slot| s.is_face_of(&self.slots[slot as usize]))
+    }
+
+    /// The slots of the stored facets that are proper faces of `s`.
+    /// Their vertices all lie in `s`, so each is found under its
+    /// smallest vertex, and tested once.
+    fn proper_faces_of(&self, s: &IdSimplex) -> Vec<u32> {
+        let m = s.len();
+        let mut out = Vec::new();
+        for v in s.ids() {
+            for &slot in self.containing(v) {
+                let f = &self.slots[slot as usize];
+                if f.len() < m && f.ids().next() == Some(v) && f.is_face_of(s) {
+                    out.push(slot);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Removes one facet of size `m` from a size histogram.
+fn drop_size(sizes: &mut BTreeMap<usize, usize>, m: usize) {
+    match sizes.get_mut(&m) {
+        Some(c) if *c > 1 => *c -= 1,
+        _ => {
+            sizes.remove(&m);
+        }
+    }
 }
 
 impl IdComplex {
@@ -532,6 +650,7 @@ impl IdComplex {
             vertices: BTreeSet::new(),
             dim: -1,
             sizes: BTreeMap::new(),
+            incidence: None,
         }
     }
 
@@ -546,6 +665,12 @@ impl IdComplex {
 
     /// Adds a simplex (and implicitly all its faces), maintaining the
     /// facet anti-chain.
+    ///
+    /// While every stored facet has the size of `s` this is a set
+    /// insertion. Otherwise it consults the vertex → facet incidence
+    /// index (built here on first need): `s` is dropped if a stored
+    /// facet containing its rarest vertex contains it, and it absorbs
+    /// the smaller stored facets whose vertices all lie in `s`.
     pub fn add_simplex(&mut self, s: IdSimplex) {
         if s.is_empty() {
             return;
@@ -553,27 +678,22 @@ impl IdComplex {
         // Fast path: every stored facet has the same vertex count as
         // `s`. A face relation between equal-size simplexes is
         // equality, so deduplicating insertion preserves the
-        // anti-chain with no scans.
+        // anti-chain with no index.
         let m = s.len();
         if self.sizes.len() <= 1 && self.sizes.keys().all(|&k| k == m) {
             self.insert_facet_unchecked(s);
             return;
         }
-        let has_geq = self.sizes.range(m..).next().is_some();
-        if has_geq && self.facets.iter().any(|f| f.len() >= m && s.is_face_of(f)) {
+        let facets = &self.facets;
+        let index = self.incidence.get_or_insert_with(|| Incidence::of(facets));
+        if self.sizes.range(m..).next().is_some() && index.covers(&s) {
             return;
         }
         if self.sizes.range(..m).next().is_some() {
-            // only strictly smaller facets can be absorbed by `s`
-            let absorbed: Vec<IdSimplex> = self
-                .facets
-                .iter()
-                .filter(|f| f.len() < m && f.is_face_of(&s))
-                .cloned()
-                .collect();
-            for f in absorbed {
+            for slot in index.proper_faces_of(&s) {
+                let f = index.remove(slot);
                 self.facets.remove(&f);
-                self.drop_size(f.len());
+                drop_size(&mut self.sizes, f.len());
             }
         }
         self.insert_facet_unchecked(s);
@@ -582,24 +702,25 @@ impl IdComplex {
     /// Inserts a facet the caller guarantees is not comparable with any
     /// stored facet (e.g. all facets share a dimension and are
     /// distinct, or the insertion order is known to be an anti-chain).
-    /// Skips the absorption scans of [`IdComplex::add_simplex`].
+    /// Skips the absorption checks of [`IdComplex::add_simplex`].
     pub fn insert_facet_unchecked(&mut self, s: IdSimplex) {
         if s.is_empty() {
             return;
         }
         self.note_caches(&s);
         let m = s.len();
-        if self.facets.insert(s) {
-            *self.sizes.entry(m).or_insert(0) += 1;
-        }
-    }
-
-    fn drop_size(&mut self, m: usize) {
-        match self.sizes.get_mut(&m) {
-            Some(c) if *c > 1 => *c -= 1,
-            _ => {
-                self.sizes.remove(&m);
+        let fresh = match &mut self.incidence {
+            Some(index) => {
+                let fresh = self.facets.insert(s.clone());
+                if fresh {
+                    index.insert(s);
+                }
+                fresh
             }
+            None => self.facets.insert(s),
+        };
+        if fresh {
+            *self.sizes.entry(m).or_insert(0) += 1;
         }
     }
 
@@ -900,13 +1021,38 @@ impl<V: Label> InternedBuilder<V> {
         self.complex.add_simplex(id_simplex);
     }
 
-    /// Adds the facet spanned by `vertices` without absorption scans;
-    /// the caller guarantees the facets form an anti-chain (duplicates
-    /// are still merged by the underlying set).
-    pub fn add_facet_vertices_unchecked(&mut self, vertices: impl IntoIterator<Item = V>) {
-        let ids: Vec<u32> = vertices.into_iter().map(|v| self.pool.intern(v)).collect();
-        self.complex
-            .insert_facet_unchecked(IdSimplex::from_ids(ids));
+    /// Adds the pseudosphere `ψ(slots)`: one facet per way of picking
+    /// one option from every slot (with absorption against previously
+    /// added facets). Adds nothing if `slots` or any slot is empty.
+    ///
+    /// Each option is interned once, in the order a lexicographic walk
+    /// of the facets (slot 0 most significant, see [`for_each_product`])
+    /// first meets it: every slot's first option in slot order, then
+    /// the remaining options of the last slot, then those of the slot
+    /// before it, and so on back to slot 0. So when every slot is sorted
+    /// and every option of a slot sorts before every option of the next
+    /// (as views of distinct processes in process order do), labels get
+    /// exactly the ids that adding the sorted facets one by one with
+    /// [`InternedBuilder::add_facet`] would give them.
+    pub fn add_pseudosphere(&mut self, slots: Vec<Vec<V>>) {
+        if slots.is_empty() || slots.iter().any(Vec::is_empty) {
+            return;
+        }
+        let mut rest: Vec<std::vec::IntoIter<V>> = slots.into_iter().map(Vec::into_iter).collect();
+        let mut ids: Vec<Vec<u32>> = rest
+            .iter_mut()
+            .map(|options| {
+                let first = options.next().expect("slots are nonempty");
+                vec![self.pool.intern(first)]
+            })
+            .collect();
+        for (slot, options) in rest.into_iter().enumerate().rev() {
+            ids[slot].extend(options.map(|v| self.pool.intern(v)));
+        }
+        for_each_product(&ids, |pick| {
+            self.complex
+                .add_simplex(IdSimplex::from_ids(pick.iter().map(|&&id| id).collect()));
+        });
     }
 
     /// Finishes, resolving back to a label-typed [`Complex`].
@@ -914,9 +1060,44 @@ impl<V: Label> InternedBuilder<V> {
         Complex::from_interned(&self.pool, &self.complex)
     }
 
-    /// Finishes, returning the raw interned parts.
-    pub fn into_parts(self) -> (VertexPool<V>, IdComplex) {
+    /// Finishes, returning the raw interned parts (without the
+    /// complex's incidence index, which only construction needs).
+    pub fn into_parts(mut self) -> (VertexPool<V>, IdComplex) {
+        self.complex.incidence = None;
         (self.pool, self.complex)
+    }
+}
+
+/// Calls `visit` with every tuple of the product
+/// `slots[0] × … × slots[m−1]`, in lexicographic order with slot 0 most
+/// significant (the last slot varies fastest). Visits nothing if `slots`
+/// or any slot is empty.
+///
+/// With every slot sorted, this is the order of the product's facets as
+/// sorted simplexes, so protocol-complex recursions walk one round's
+/// pseudosphere with it in the order the sorted complex would list it.
+pub fn for_each_product<T>(slots: &[Vec<T>], mut visit: impl FnMut(&[&T])) {
+    if slots.is_empty() || slots.iter().any(Vec::is_empty) {
+        return;
+    }
+    let mut idx = vec![0usize; slots.len()];
+    let mut pick: Vec<&T> = slots.iter().map(|options| &options[0]).collect();
+    loop {
+        visit(&pick);
+        let mut i = slots.len();
+        loop {
+            if i == 0 {
+                return;
+            }
+            i -= 1;
+            idx[i] += 1;
+            if idx[i] < slots[i].len() {
+                pick[i] = &slots[i][idx[i]];
+                break;
+            }
+            idx[i] = 0;
+            pick[i] = &slots[i][0];
+        }
     }
 }
 
@@ -1136,11 +1317,39 @@ mod tests {
         );
     }
 
+    /// The facet anti-chain of a generating set by brute force: the
+    /// distinct nonempty generators that are faces of no other.
+    fn maximal(gens: &[IdSimplex]) -> BTreeSet<IdSimplex> {
+        let set: BTreeSet<IdSimplex> = gens.iter().filter(|s| !s.is_empty()).cloned().collect();
+        set.iter()
+            .filter(|s| !set.iter().any(|t| t != *s && s.is_face_of(t)))
+            .cloned()
+            .collect()
+    }
+
+    /// Builds `gens` in every rotation and its reverse; each must give
+    /// the brute-force anti-chain.
+    fn assert_order_independent(gens: &[IdSimplex]) -> IdComplex {
+        let reference = IdComplex::from_facets(gens.to_vec());
+        assert_eq!(
+            reference.facets().cloned().collect::<BTreeSet<_>>(),
+            maximal(gens)
+        );
+        for start in 0..gens.len() {
+            let mut rotated: Vec<IdSimplex> = gens[start..].to_vec();
+            rotated.extend_from_slice(&gens[..start]);
+            assert_eq!(IdComplex::from_facets(rotated.clone()), reference);
+            rotated.reverse();
+            assert_eq!(IdComplex::from_facets(rotated), reference);
+        }
+        reference
+    }
+
     #[test]
     fn absorption_is_insertion_order_independent() {
         // exercises the equal-size fast path, the absorbed-facet size
-        // bookkeeping, and the fallback scans: every insertion order of
-        // a mixed-size generating set must yield the same anti-chain
+        // bookkeeping, and the indexed absorption: every insertion order
+        // of a mixed-size generating set must yield the same anti-chain
         let gens = [
             ids(&[0, 1, 2, 3]),
             ids(&[0, 1, 2]), // face of the tetrahedron
@@ -1151,16 +1360,37 @@ mod tests {
             ids(&[0, 4, 8]),
             ids(&[0, 4]), // face of the triangle above
         ];
-        let reference = IdComplex::from_facets(gens.clone());
-        assert_eq!(reference.facet_count(), 4);
-        // all rotations + the reverse of the generating sequence
-        for start in 0..gens.len() {
-            let mut rotated: Vec<IdSimplex> = gens[start..].to_vec();
-            rotated.extend_from_slice(&gens[..start]);
-            assert_eq!(IdComplex::from_facets(rotated.clone()), reference);
-            rotated.reverse();
-            assert_eq!(IdComplex::from_facets(rotated), reference);
+        assert_eq!(assert_order_independent(&gens).facet_count(), 4);
+
+        // Sixty equal-size triangles over ids crossing 64 and 128 (all
+        // three tiers), so the incidence index is built mid-stream by
+        // the first mixed-size insert; then tetrahedra absorbing some
+        // triangles, edges that are faces of stored triangles, new
+        // edges, and a triangle absorbing two of those edges.
+        let mut gens: Vec<IdSimplex> = (0..60u32).map(|i| ids(&[i, i + 70, i + 140])).collect();
+        let absorbers: Vec<u32> = (0..60).step_by(7).collect();
+        gens.extend(
+            absorbers
+                .iter()
+                .map(|&i| ids(&[i, i + 70, i + 140, 250 + i])),
+        );
+        gens.extend((0..60).step_by(5).map(|i| ids(&[i, i + 140])));
+        gens.extend((0..4).map(|i| ids(&[300 + i, 301 + i])));
+        gens.push(ids(&[300, 301, 302]));
+        gens.push(ids(&[5]));
+        let c = assert_order_independent(&gens);
+        assert!(c.incidence.is_some(), "mixed sizes build the index");
+        assert_eq!(c.facet_count(), 60 + 3);
+        assert_eq!(c.sizes.values().sum::<usize>(), c.facet_count());
+        for &i in &absorbers {
+            assert!(!c.facets.contains(&ids(&[i, i + 70, i + 140])));
         }
+        assert!(!c.facets.contains(&ids(&[300, 301])));
+        assert!(c.facets.contains(&ids(&[302, 303])));
+        // the index is a cache: clones drop it and compare equal
+        let copy = c.clone();
+        assert!(copy.incidence.is_none());
+        assert_eq!(copy, c);
     }
 
     #[test]
