@@ -13,16 +13,19 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ps_core::ProcessId;
+use ps_core::{ProcessId, MAX_SUBSET_BASE};
 use ps_models::{
     AsyncModel, ByzantineModel, DynamicModel, GraphFamily, InputSimplex, SemiSyncModel, SsView,
     SyncModel, View,
 };
+use ps_topology::parallel::parallel_map;
 use ps_topology::{Complex, IdComplex, InternedBuilder, Label, Simplex, VertexPool};
 
 use crate::solver::{AgreementConstraint, DecisionMapSolver, PreparedInstance};
 use crate::store::{StoreKey, StoredVerdict, VerdictStore};
-use crate::symmetry::{instance_fingerprint, instance_key, task_symmetries, ExactKey};
+use crate::symmetry::{
+    instance_fingerprint, instance_key, task_symmetries, ExactKey, StructuralKey, SymmetricView,
+};
 use crate::task::KSetAgreement;
 
 /// Knobs for the sweep drivers.
@@ -63,12 +66,22 @@ impl Default for SweepOptions {
 /// [`IdComplex::add_simplex`] absorbs mixed-size facets through its
 /// incidence index in any order.
 ///
+/// # Panics
+///
+/// Panics if `n_plus_1` exceeds [`MAX_SUBSET_BASE`]: the process masks
+/// are `u32`s, and a wider shift would wrap in release builds and
+/// silently enumerate the wrong faces.
+///
 /// [`IdComplex::add_simplex`]: ps_topology::IdComplex::add_simplex
 pub fn input_faces(
     n_plus_1: usize,
     values: &BTreeSet<u64>,
     min_participants: usize,
 ) -> Vec<InputSimplex<u64>> {
+    assert!(
+        n_plus_1 <= MAX_SUBSET_BASE,
+        "input faces limited to ≤ {MAX_SUBSET_BASE} processes, got {n_plus_1}"
+    );
     let vals: Vec<u64> = values.iter().copied().collect();
     let mut out = Vec::new();
     for mask in 0u32..(1 << n_plus_1) {
@@ -266,28 +279,61 @@ pub fn semisync_task_complex(
     Complex::from_interned(&pool, &complex)
 }
 
-/// The r-round Byzantine-synchronous task complex over the full input
-/// complex.
-pub fn byzantine_task_complex(
-    task: &KSetAgreement,
-    n_plus_1: usize,
-    t: usize,
-    rounds: usize,
-) -> Complex<View<u64>> {
-    let (pool, complex) = byzantine_task_parts(&task.values, n_plus_1, t, rounds);
-    Complex::from_interned(&pool, &complex)
+/// A task complex in interned form, in whichever view type its model
+/// produces (see [`SweepKey::task_parts`]).
+#[derive(Debug)]
+pub enum TaskParts {
+    /// Synchronous, asynchronous, Byzantine and dynamic complexes.
+    Viewed(VertexPool<View<u64>>, IdComplex),
+    /// Semi-synchronous complexes (microround-annotated views).
+    SsViewed(VertexPool<SsView<u64>>, IdComplex),
 }
 
-/// The r-round dynamic-network task complex over the full input
-/// complex.
-pub fn dynamic_task_complex(
-    task: &KSetAgreement,
+impl TaskParts {
+    /// The interned complex, without its labels.
+    pub fn into_complex(self) -> IdComplex {
+        match self {
+            TaskParts::Viewed(_, complex) | TaskParts::SsViewed(_, complex) => complex,
+        }
+    }
+
+    /// The prepare-and-certify step every solver path shares: indexes
+    /// the complex for search over the value domain `values` and, with
+    /// `symmetry`, attaches the task's process/value relabelings
+    /// (closed from transpositions, certified as automorphisms by
+    /// [`task_symmetries`]) for orbit branching.
+    fn prepare(&self, n_plus_1: usize, values: &BTreeSet<u64>, symmetry: bool) -> PreparedGroup {
+        match self {
+            TaskParts::Viewed(pool, c) => {
+                PreparedGroup::Viewed(prepare(pool, c, allowed_values, n_plus_1, values, symmetry))
+            }
+            TaskParts::SsViewed(pool, c) => PreparedGroup::SsViewed(prepare(
+                pool,
+                c,
+                allowed_values_ss,
+                n_plus_1,
+                values,
+                symmetry,
+            )),
+        }
+    }
+}
+
+/// [`TaskParts::prepare`] for one view type.
+fn prepare<V: SymmetricView>(
+    pool: &VertexPool<V>,
+    complex: &IdComplex,
+    allowed: fn(&V) -> BTreeSet<u64>,
     n_plus_1: usize,
-    family: GraphFamily,
-    rounds: usize,
-) -> Complex<View<u64>> {
-    let (pool, complex) = dynamic_task_parts(&task.values, n_plus_1, family, rounds);
-    Complex::from_interned(&pool, &complex)
+    values: &BTreeSet<u64>,
+    symmetry: bool,
+) -> PreparedInstance<V> {
+    let mut inst = PreparedInstance::from_interned(pool, complex, allowed);
+    if symmetry {
+        let proc_gens = ps_models::process_transpositions(n_plus_1);
+        inst.attach_symmetries(task_symmetries(pool, complex, n_plus_1, &proc_gens, values));
+    }
+    inst
 }
 
 /// Outcome of a solvability check on one instance.
@@ -301,34 +347,24 @@ pub struct SolvabilityResult {
     pub facets: usize,
 }
 
-/// Runs the solver on an arbitrary view complex for `task`.
-pub fn solvability<V: Label>(
-    complex: &Complex<V>,
-    task: &KSetAgreement,
-    allowed: impl FnMut(&V) -> BTreeSet<u64>,
-) -> SolvabilityResult {
-    let mut solver = DecisionMapSolver::new();
-    let map = solver.solve(complex, allowed, task.k);
-    SolvabilityResult {
-        solvable: map.is_some(),
-        vertices: complex.vertex_count(),
-        facets: complex.facet_count(),
+impl From<StoredVerdict> for SolvabilityResult {
+    fn from(v: StoredVerdict) -> Self {
+        SolvabilityResult {
+            solvable: v.solvable,
+            vertices: v.vertices as usize,
+            facets: v.facets as usize,
+        }
     }
 }
 
-/// Attaches the task's certified process/value symmetries (closed from
-/// process and value transpositions, certified as automorphisms by
-/// [`task_symmetries`]) to an instance built from `(pool, complex)`.
-/// Returns how many the instance kept for orbit branching.
-fn attach_task_symmetries<V: crate::symmetry::SymmetricView>(
-    inst: &mut PreparedInstance<V>,
-    pool: &VertexPool<V>,
-    complex: &IdComplex,
-    n_plus_1: usize,
-    values: &BTreeSet<u64>,
-) -> usize {
-    let proc_gens = ps_models::process_transpositions(n_plus_1);
-    inst.attach_symmetries(task_symmetries(pool, complex, n_plus_1, &proc_gens, values))
+impl From<&SolvabilityResult> for StoredVerdict {
+    fn from(r: &SolvabilityResult) -> Self {
+        StoredVerdict {
+            solvable: r.solvable,
+            vertices: r.vertices as u64,
+            facets: r.facets as u64,
+        }
+    }
 }
 
 /// One solver run against a prepared instance.
@@ -352,25 +388,13 @@ fn solve_one<V: Label>(
 /// Corollary 13 experiment: is r-round asynchronous k-set agreement
 /// solvable (as a decision map) for this instance?
 pub fn async_solvable(k: usize, f: usize, n_plus_1: usize, rounds: usize) -> SolvabilityResult {
-    async_solvable_opts(k, f, n_plus_1, rounds, SweepOptions::default())
-}
-
-/// [`async_solvable`] with explicit [`SweepOptions`] (symmetry
-/// exploitation, nogood learning).
-pub fn async_solvable_opts(
-    k: usize,
-    f: usize,
-    n_plus_1: usize,
-    rounds: usize,
-    opts: SweepOptions,
-) -> SolvabilityResult {
-    let task = KSetAgreement::canonical(k);
-    let (pool, complex) = async_task_parts(&task.values, n_plus_1, f, rounds);
-    let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-    if opts.symmetry {
-        attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, &task.values);
+    SweepPoint::Async {
+        k,
+        f,
+        n_plus_1,
+        rounds,
     }
-    solve_one(&inst, k, opts.learning)
+    .run()
 }
 
 /// Theorem 18 experiment: one row of the round sweep — is r-round
@@ -382,25 +406,14 @@ pub fn sync_solvable(
     k_per_round: usize,
     rounds: usize,
 ) -> SolvabilityResult {
-    sync_solvable_opts(k, f, n_plus_1, k_per_round, rounds, SweepOptions::default())
-}
-
-/// [`sync_solvable`] with explicit [`SweepOptions`].
-pub fn sync_solvable_opts(
-    k: usize,
-    f: usize,
-    n_plus_1: usize,
-    k_per_round: usize,
-    rounds: usize,
-    opts: SweepOptions,
-) -> SolvabilityResult {
-    let task = KSetAgreement::canonical(k);
-    let (pool, complex) = sync_task_parts(&task.values, n_plus_1, k_per_round, f, rounds);
-    let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-    if opts.symmetry {
-        attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, &task.values);
+    SweepPoint::Sync {
+        k,
+        f,
+        n_plus_1,
+        k_per_round,
+        rounds,
     }
-    solve_one(&inst, k, opts.learning)
+    .run()
 }
 
 /// Lemma 21 / Corollary 22 side experiment: is r-round semi-synchronous
@@ -413,59 +426,28 @@ pub fn semisync_solvable(
     microrounds: u32,
     rounds: usize,
 ) -> SolvabilityResult {
-    semisync_solvable_opts(
+    SweepPoint::SemiSync {
         k,
         f,
         n_plus_1,
         k_per_round,
         microrounds,
         rounds,
-        SweepOptions::default(),
-    )
-}
-
-/// [`semisync_solvable`] with explicit [`SweepOptions`].
-pub fn semisync_solvable_opts(
-    k: usize,
-    f: usize,
-    n_plus_1: usize,
-    k_per_round: usize,
-    microrounds: u32,
-    rounds: usize,
-    opts: SweepOptions,
-) -> SolvabilityResult {
-    let task = KSetAgreement::canonical(k);
-    let (pool, complex) =
-        semisync_task_parts(&task.values, n_plus_1, k_per_round, f, microrounds, rounds);
-    let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values_ss);
-    if opts.symmetry {
-        attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, &task.values);
     }
-    solve_one(&inst, k, opts.learning)
+    .run()
 }
 
 /// Mendes–Herlihy experiment: is r-round Byzantine-synchronous k-set
 /// agreement solvable (as a decision map on correct-process views) for
 /// this instance?
 pub fn byzantine_solvable(k: usize, t: usize, n_plus_1: usize, rounds: usize) -> SolvabilityResult {
-    byzantine_solvable_opts(k, t, n_plus_1, rounds, SweepOptions::default())
-}
-
-/// [`byzantine_solvable`] with explicit [`SweepOptions`].
-pub fn byzantine_solvable_opts(
-    k: usize,
-    t: usize,
-    n_plus_1: usize,
-    rounds: usize,
-    opts: SweepOptions,
-) -> SolvabilityResult {
-    let task = KSetAgreement::canonical(k);
-    let (pool, complex) = byzantine_task_parts(&task.values, n_plus_1, t, rounds);
-    let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-    if opts.symmetry {
-        attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, &task.values);
+    SweepPoint::Byzantine {
+        k,
+        t,
+        n_plus_1,
+        rounds,
     }
-    solve_one(&inst, k, opts.learning)
+    .run()
 }
 
 /// Dynamic-network experiment (Rincon Galeana et al.): is r-round k-set
@@ -477,24 +459,13 @@ pub fn dynamic_solvable(
     family: GraphFamily,
     rounds: usize,
 ) -> SolvabilityResult {
-    dynamic_solvable_opts(k, n_plus_1, family, rounds, SweepOptions::default())
-}
-
-/// [`dynamic_solvable`] with explicit [`SweepOptions`].
-pub fn dynamic_solvable_opts(
-    k: usize,
-    n_plus_1: usize,
-    family: GraphFamily,
-    rounds: usize,
-    opts: SweepOptions,
-) -> SolvabilityResult {
-    let task = KSetAgreement::canonical(k);
-    let (pool, complex) = dynamic_task_parts(&task.values, n_plus_1, family, rounds);
-    let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-    if opts.symmetry {
-        attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, &task.values);
+    SweepPoint::Dynamic {
+        k,
+        n_plus_1,
+        family,
+        rounds,
     }
-    solve_one(&inst, k, opts.learning)
+    .run()
 }
 
 /// One `(model, n, r, k, f)` grid point of a solvability sweep.
@@ -700,49 +671,110 @@ impl SweepPoint {
         }
     }
 
+    /// Rejects a point the builders cannot take: `k = 0` (no agreement
+    /// task), a process count outside `1..=`[`MAX_SUBSET_BASE`] (the
+    /// limit of the input-face and subset enumerations), a dynamic point
+    /// above [`DynamicModel::MAX_PROCESSES`] (its graph masks), and a
+    /// semi-synchronous point without microrounds. Points from outside
+    /// the program must pass it before they run: past these bounds the
+    /// builders panic, and at `k = 0` the solver would answer for a task
+    /// that does not exist.
+    pub fn check(&self) -> Result<(), String> {
+        let n_plus_1 = self.shared_key().n_plus_1();
+        if self.k() == 0 {
+            return Err("k-set agreement needs k ≥ 1, got 0".into());
+        }
+        if !(1..=MAX_SUBSET_BASE).contains(&n_plus_1) {
+            return Err(format!(
+                "the process count must be in 1..={MAX_SUBSET_BASE}, got {n_plus_1}"
+            ));
+        }
+        match *self {
+            SweepPoint::Dynamic { .. } if n_plus_1 > DynamicModel::MAX_PROCESSES => Err(format!(
+                "the dynamic model supports at most {} processes, got {n_plus_1}",
+                DynamicModel::MAX_PROCESSES
+            )),
+            SweepPoint::SemiSync { microrounds: 0, .. } => {
+                Err("the semi-synchronous model needs at least one microround, got 0".into())
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Runs this grid point's solver (serially, in the calling thread).
     pub fn run(&self) -> SolvabilityResult {
         self.run_opts(SweepOptions::default())
     }
 
     /// [`SweepPoint::run`] with explicit [`SweepOptions`] (symmetry
-    /// exploitation, nogood learning).
+    /// exploitation, nogood learning): prepares the point's complex over
+    /// its canonical value domain `{0, …, k}` and solves `k`.
     pub fn run_opts(&self, opts: SweepOptions) -> SolvabilityResult {
+        let k = self.k();
+        let values = (0..=k as u64).collect();
+        self.shared_key()
+            .prepare(&values, opts.symmetry)
+            .solve(k, opts.learning)
+    }
+}
+
+impl SweepKey {
+    fn n_plus_1(&self) -> usize {
         match *self {
-            SweepPoint::Async {
-                k,
+            SweepKey::Async { n_plus_1, .. }
+            | SweepKey::Sync { n_plus_1, .. }
+            | SweepKey::SemiSync { n_plus_1, .. }
+            | SweepKey::Byzantine { n_plus_1, .. }
+            | SweepKey::Dynamic { n_plus_1, .. } => n_plus_1,
+        }
+    }
+
+    /// Builds this family's task complex over the value domain `values`.
+    /// This is the one place a model meets its builder: every solver,
+    /// store, serve and connectivity path builds through it.
+    pub fn task_parts(&self, values: &BTreeSet<u64>) -> TaskParts {
+        let (pool, complex) = match *self {
+            SweepKey::Async {
                 f,
                 n_plus_1,
                 rounds,
-            } => async_solvable_opts(k, f, n_plus_1, rounds, opts),
-            SweepPoint::Sync {
-                k,
+            } => async_task_parts(values, n_plus_1, f, rounds),
+            SweepKey::Sync {
                 f,
                 n_plus_1,
                 k_per_round,
                 rounds,
-            } => sync_solvable_opts(k, f, n_plus_1, k_per_round, rounds, opts),
-            SweepPoint::SemiSync {
-                k,
+            } => sync_task_parts(values, n_plus_1, k_per_round, f, rounds),
+            SweepKey::SemiSync {
                 f,
                 n_plus_1,
                 k_per_round,
                 microrounds,
                 rounds,
-            } => semisync_solvable_opts(k, f, n_plus_1, k_per_round, microrounds, rounds, opts),
-            SweepPoint::Byzantine {
-                k,
+            } => {
+                let (pool, complex) =
+                    semisync_task_parts(values, n_plus_1, k_per_round, f, microrounds, rounds);
+                return TaskParts::SsViewed(pool, complex);
+            }
+            SweepKey::Byzantine {
                 t,
                 n_plus_1,
                 rounds,
-            } => byzantine_solvable_opts(k, t, n_plus_1, rounds, opts),
-            SweepPoint::Dynamic {
-                k,
+            } => byzantine_task_parts(values, n_plus_1, t, rounds),
+            SweepKey::Dynamic {
                 n_plus_1,
                 family,
                 rounds,
-            } => dynamic_solvable_opts(k, n_plus_1, family, rounds, opts),
-        }
+            } => dynamic_task_parts(values, n_plus_1, family, rounds),
+        };
+        TaskParts::Viewed(pool, complex)
+    }
+
+    /// [`SweepKey::task_parts`] prepared for search over `values`,
+    /// with certified task symmetries attached when `symmetry`.
+    pub(crate) fn prepare(&self, values: &BTreeSet<u64>, symmetry: bool) -> PreparedGroup {
+        self.task_parts(values)
+            .prepare(self.n_plus_1(), values, symmetry)
     }
 }
 
@@ -762,13 +794,7 @@ pub fn solvability_sweep_opts(
     threads: usize,
     opts: SweepOptions,
 ) -> Vec<SolvabilityResult> {
-    ps_topology::parallel::parallel_map(points, threads, |_, p| p.run_opts(opts))
-}
-
-/// [`solvability_sweep`] with the globally configured thread count
-/// ([`ps_topology::parallel::configured_threads`]).
-pub fn solvability_sweep_auto(points: &[SweepPoint]) -> Vec<SolvabilityResult> {
-    solvability_sweep(points, ps_topology::parallel::configured_threads())
+    parallel_map(points, threads, |_, p| p.run_opts(opts))
 }
 
 /// Amortized sweep: points are grouped by [`SweepPoint::shared_key`],
@@ -784,12 +810,16 @@ pub fn solvability_sweep_auto(points: &[SweepPoint]) -> Vec<SolvabilityResult> {
 /// than each point's per-`k` canonical domain `{0, …, k}`. A point with
 /// `k == k_max` is therefore *exactly* its canonical instance; a point
 /// with smaller `k` is its canonical task posed over the group's larger
-/// input domain — a harder instance (any decision map restricts to the
-/// canonical sub-domain), and for the crash-failure models here the
+/// input domain — a harder instance, since any decision map restricts
+/// to the canonical sub-domain. For the crash-failure models the
 /// solvability threshold is domain-size-independent, so verdicts agree
-/// with [`solvability_sweep`] (asserted by tests on small grids). The
-/// reported `vertices`/`facets` describe the complex actually searched,
-/// which for `k < k_max` is larger than the canonical one.
+/// with [`solvability_sweep`]. For the Byzantine and dynamic models no
+/// such argument is on record; `tests/model_differential.rs` checks
+/// the agreement by sweeping every `k` of a key in one call
+/// (Byzantine n+1=3, t≤1, r=1, k≤2; dynamic rooted and strong, n+1=2
+/// r≤2 k≤3 and n+1=3 r=1 k≤2). The reported `vertices`/`facets`
+/// describe the complex actually searched, which for `k < k_max` is
+/// larger than the canonical one.
 pub fn solvability_sweep_shared(points: &[SweepPoint], threads: usize) -> Vec<SolvabilityResult> {
     solvability_sweep_shared_opts(points, threads, SweepOptions::default())
 }
@@ -827,10 +857,10 @@ impl PreparedGroup {
         (self.vertex_count() <= CANON_ATTEMPT_MAX_VERTICES).then(|| self.key())?
     }
 
-    pub(crate) fn structural_key(&self) -> crate::symmetry::StructuralKey {
+    pub(crate) fn structural_key(&self) -> StructuralKey {
         match self {
-            PreparedGroup::Viewed(inst) => crate::symmetry::StructuralKey::of(inst),
-            PreparedGroup::SsViewed(inst) => crate::symmetry::StructuralKey::of(inst),
+            PreparedGroup::Viewed(inst) => StructuralKey::of(inst),
+            PreparedGroup::SsViewed(inst) => StructuralKey::of(inst),
         }
     }
 
@@ -848,89 +878,98 @@ impl PreparedGroup {
         }
     }
 
-    pub(crate) fn solve_ks(&self, ks: &[usize], learning: bool) -> Vec<(usize, SolvabilityResult)> {
+    pub(crate) fn solve(&self, k: usize, learning: bool) -> SolvabilityResult {
         match self {
-            PreparedGroup::Viewed(inst) => ks
-                .iter()
-                .map(|&k| (k, solve_one(inst, k, learning)))
-                .collect(),
-            PreparedGroup::SsViewed(inst) => ks
-                .iter()
-                .map(|&k| (k, solve_one(inst, k, learning)))
-                .collect(),
+            PreparedGroup::Viewed(inst) => solve_one(inst, k, learning),
+            PreparedGroup::SsViewed(inst) => solve_one(inst, k, learning),
         }
     }
 }
 
-/// Builds one shared-key group's prepared instance over the value
-/// domain `values`, attaching certified task symmetries when `symmetry`.
-pub(crate) fn build_group(key: &SweepKey, values: &BTreeSet<u64>, symmetry: bool) -> PreparedGroup {
-    match *key {
-        SweepKey::Async {
-            f,
-            n_plus_1,
-            rounds,
-        } => {
-            let (pool, complex) = async_task_parts(values, n_plus_1, f, rounds);
-            let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-            if symmetry {
-                attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, values);
-            }
-            PreparedGroup::Viewed(inst)
-        }
-        SweepKey::Sync {
-            f,
-            n_plus_1,
-            k_per_round,
-            rounds,
-        } => {
-            let (pool, complex) = sync_task_parts(values, n_plus_1, k_per_round, f, rounds);
-            let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-            if symmetry {
-                attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, values);
-            }
-            PreparedGroup::Viewed(inst)
-        }
-        SweepKey::SemiSync {
-            f,
-            n_plus_1,
-            k_per_round,
-            microrounds,
-            rounds,
-        } => {
-            let (pool, complex) =
-                semisync_task_parts(values, n_plus_1, k_per_round, f, microrounds, rounds);
-            let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values_ss);
-            if symmetry {
-                attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, values);
-            }
-            PreparedGroup::SsViewed(inst)
-        }
-        SweepKey::Byzantine {
-            t,
-            n_plus_1,
-            rounds,
-        } => {
-            let (pool, complex) = byzantine_task_parts(values, n_plus_1, t, rounds);
-            let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-            if symmetry {
-                attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, values);
-            }
-            PreparedGroup::Viewed(inst)
-        }
-        SweepKey::Dynamic {
-            n_plus_1,
-            family,
-            rounds,
-        } => {
-            let (pool, complex) = dynamic_task_parts(values, n_plus_1, family, rounds);
-            let mut inst = PreparedInstance::from_interned(&pool, &complex, allowed_values);
-            if symmetry {
-                attach_task_symmetries(&mut inst, &pool, &complex, n_plus_1, values);
-            }
-            PreparedGroup::Viewed(inst)
-        }
+/// The plumbing every grouped sweep shares: groups `points` by
+/// [`SweepPoint::shared_key`] (in key order) and runs `job` once per
+/// group on the worker pool, over the group's value domain
+/// `{0, …, k_max}` and with the indices of its points. Returns each
+/// group's point indices beside its job's output, in group order.
+fn grouped<T: Send>(
+    points: &[SweepPoint],
+    threads: usize,
+    job: impl Fn(&SweepKey, &BTreeSet<u64>, &[usize]) -> T + Sync,
+) -> (Vec<Vec<usize>>, Vec<T>) {
+    let mut groups: BTreeMap<SweepKey, Vec<usize>> = BTreeMap::new();
+    for (i, p) in points.iter().enumerate() {
+        groups.entry(p.shared_key()).or_default().push(i);
     }
+    let groups: Vec<(SweepKey, Vec<usize>)> = groups.into_iter().collect();
+    let out = parallel_map(&groups, threads, |_, (key, idxs)| {
+        let k_max = idxs.iter().map(|&i| points[i].k()).max();
+        let k_max = k_max.expect("group is nonempty") as u64;
+        job(key, &(0..=k_max).collect(), idxs)
+    });
+    (groups.into_iter().map(|(_, idxs)| idxs).collect(), out)
+}
+
+/// Puts `(point index, answer)` pairs back in input order.
+fn scatter<T>(len: usize, answers: impl IntoIterator<Item = (usize, T)>) -> Vec<T> {
+    let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    for (i, answer) in answers {
+        out[i] = Some(answer);
+    }
+    out.into_iter()
+        .map(|r| r.expect("every point belongs to exactly one group"))
+        .collect()
+}
+
+/// Each solver class's agreement parameters — the union over its member
+/// groups, ascending — beside its class representative `rep_of[j]` of
+/// group `j`, in representative order.
+fn class_ks(
+    points: &[SweepPoint],
+    groups: &[Vec<usize>],
+    rep_of: &[usize],
+) -> Vec<(usize, Vec<usize>)> {
+    let mut class_ks: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
+    for (idxs, &rep) in groups.iter().zip(rep_of) {
+        let ks = class_ks.entry(rep).or_default();
+        ks.extend(idxs.iter().map(|&i| points[i].k()));
+    }
+    class_ks
+        .into_iter()
+        .map(|(rep, ks)| (rep, ks.into_iter().collect()))
+        .collect()
+}
+
+/// Solves every `(representative, ks)` job against the representative's
+/// prepared group, one job per worker; verdicts come back keyed by
+/// `(representative, k)`, in job order.
+fn solve_classes(
+    built: &[PreparedGroup],
+    jobs: &[(usize, Vec<usize>)],
+    threads: usize,
+    learning: bool,
+) -> Vec<((usize, usize), SolvabilityResult)> {
+    let solved = parallel_map(jobs, threads, |_, (rep, ks)| {
+        let prepared = &built[*rep];
+        let verdicts = ks.iter().map(|&k| ((*rep, k), prepared.solve(k, learning)));
+        verdicts.collect::<Vec<_>>()
+    });
+    solved.into_iter().flatten().collect()
+}
+
+/// Replays each class's verdicts to every member point. Class members
+/// are isomorphic instances, so the vertex/facet counts replayed with
+/// the verdict are the members' own.
+fn replay(
+    points: &[SweepPoint],
+    groups: &[Vec<usize>],
+    rep_of: &[usize],
+    verdicts: &BTreeMap<(usize, usize), SolvabilityResult>,
+) -> Vec<SolvabilityResult> {
+    let answers = groups.iter().zip(rep_of).flat_map(|(idxs, &rep)| {
+        idxs.iter()
+            .map(move |&i| (i, verdicts[&(rep, points[i].k())].clone()))
+    });
+    scatter(points.len(), answers)
 }
 
 /// [`solvability_sweep_shared`] with explicit [`SweepOptions`].
@@ -952,47 +991,25 @@ pub fn solvability_sweep_shared_opts(
     threads: usize,
     opts: SweepOptions,
 ) -> Vec<SolvabilityResult> {
-    let mut groups: BTreeMap<SweepKey, Vec<usize>> = BTreeMap::new();
-    for (i, p) in points.iter().enumerate() {
-        groups.entry(p.shared_key()).or_default().push(i);
-    }
-    let jobs: Vec<(SweepKey, Vec<usize>)> = groups.into_iter().collect();
+    let (groups, built) = grouped(points, threads, |key, values, _| {
+        key.prepare(values, opts.symmetry)
+    });
 
-    // Phase A1 (parallel): build each group's instance (+ symmetries)
-    // and a cheap isomorphism-invariant fingerprint.
-    let job_ids: Vec<usize> = (0..jobs.len()).collect();
-    let built: Vec<PreparedGroup> =
-        ps_topology::parallel::parallel_map(&job_ids, threads, |_, &j| {
-            let (key, idxs) = &jobs[j];
-            let k_max = idxs
-                .iter()
-                .map(|&i| points[i].k())
-                .max()
-                .expect("group is nonempty");
-            let values: BTreeSet<u64> = (0..=k_max as u64).collect();
-            build_group(key, &values, opts.symmetry)
-        });
-
-    // Serial: find fingerprint collisions; Phase A2 (parallel):
-    // canonicalize only the colliding groups; serial: merge groups with
-    // equal exact keys into classes, `rep_of[j]` = solving representative.
-    let mut rep_of: Vec<usize> = (0..jobs.len()).collect();
-    if opts.symmetry && jobs.len() > 1 {
+    // Serial: find fingerprint collisions; parallel: canonicalize only
+    // the colliding groups; serial: merge groups with equal exact keys
+    // into classes, `rep_of[j]` = solving representative.
+    let mut rep_of: Vec<usize> = (0..groups.len()).collect();
+    if opts.symmetry && groups.len() > 1 {
         let mut by_fp: BTreeMap<_, Vec<usize>> = BTreeMap::new();
         for (j, g) in built.iter().enumerate() {
-            let fp = match g {
-                PreparedGroup::Viewed(inst) => instance_fingerprint(inst),
-                PreparedGroup::SsViewed(inst) => instance_fingerprint(inst),
-            };
-            by_fp.entry(fp).or_default().push(j);
+            by_fp.entry(g.fingerprint()).or_default().push(j);
         }
         let colliding: Vec<usize> = by_fp
             .into_values()
             .filter(|js| js.len() > 1)
             .flatten()
             .collect();
-        let keys: Vec<Option<ExactKey>> =
-            ps_topology::parallel::parallel_map(&colliding, threads, |_, &j| built[j].key());
+        let keys = parallel_map(&colliding, threads, |_, &j| built[j].key());
         let mut by_key: BTreeMap<ExactKey, usize> = BTreeMap::new();
         for (&j, key) in colliding.iter().zip(keys) {
             let Some(key) = key else { continue };
@@ -1000,82 +1017,11 @@ pub fn solvability_sweep_shared_opts(
         }
     }
 
-    // Phase B (parallel): each class representative solves the union of
-    // its members' agreement parameters once.
-    let mut class_ks: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for (j, (_, idxs)) in jobs.iter().enumerate() {
-        let ks = class_ks.entry(rep_of[j]).or_default();
-        ks.extend(idxs.iter().map(|&i| points[i].k()));
-    }
-    let solve_jobs: Vec<(usize, Vec<usize>)> = class_ks
-        .into_iter()
-        .map(|(rep, ks)| (rep, ks.into_iter().collect()))
-        .collect();
-    let solved: Vec<Vec<(usize, SolvabilityResult)>> =
-        ps_topology::parallel::parallel_map(&solve_jobs, threads, |_, (rep, ks)| {
-            built[*rep].solve_ks(ks, opts.learning)
-        });
-
-    // Scatter: replay each class's verdicts to every member point.
-    // Class members are isomorphic instances, so the vertex/facet
-    // counts replayed with the verdict are the members' own.
-    let mut verdicts: BTreeMap<(usize, usize), SolvabilityResult> = BTreeMap::new();
-    for ((rep, _), results) in solve_jobs.iter().zip(solved) {
-        for (k, r) in results {
-            verdicts.insert((*rep, k), r);
-        }
-    }
-    let mut out: Vec<Option<SolvabilityResult>> = vec![None; points.len()];
-    for (j, (_, idxs)) in jobs.iter().enumerate() {
-        for &i in idxs {
-            out[i] = Some(verdicts[&(rep_of[j], points[i].k())].clone());
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("every point belongs to exactly one group"))
-        .collect()
-}
-
-/// [`solvability_sweep_shared`] with the globally configured thread
-/// count ([`ps_topology::parallel::configured_threads`]).
-pub fn solvability_sweep_shared_auto(points: &[SweepPoint]) -> Vec<SolvabilityResult> {
-    solvability_sweep_shared(points, ps_topology::parallel::configured_threads())
-}
-
-/// Builds one shared-key group's protocol complex (interned form only —
-/// no label resolution, no solver instance) over the value domain
-/// `values`.
-pub(crate) fn build_key_complex(key: &SweepKey, values: &BTreeSet<u64>) -> IdComplex {
-    match *key {
-        SweepKey::Async {
-            f,
-            n_plus_1,
-            rounds,
-        } => async_task_parts(values, n_plus_1, f, rounds).1,
-        SweepKey::Sync {
-            f,
-            n_plus_1,
-            k_per_round,
-            rounds,
-        } => sync_task_parts(values, n_plus_1, k_per_round, f, rounds).1,
-        SweepKey::SemiSync {
-            f,
-            n_plus_1,
-            k_per_round,
-            microrounds,
-            rounds,
-        } => semisync_task_parts(values, n_plus_1, k_per_round, f, microrounds, rounds).1,
-        SweepKey::Byzantine {
-            t,
-            n_plus_1,
-            rounds,
-        } => byzantine_task_parts(values, n_plus_1, t, rounds).1,
-        SweepKey::Dynamic {
-            n_plus_1,
-            family,
-            rounds,
-        } => dynamic_task_parts(values, n_plus_1, family, rounds).1,
-    }
+    // Each class representative solves the union of its members'
+    // agreement parameters once.
+    let jobs = class_ks(points, &groups, &rep_of);
+    let verdicts = solve_classes(&built, &jobs, threads, opts.learning);
+    replay(points, &groups, &rep_of, &verdicts.into_iter().collect())
 }
 
 /// The mod-2 homological connectivity verdict of one sweep point
@@ -1120,58 +1066,30 @@ pub struct ConnectivityResult {
 /// complex queried for a smaller `k` is the larger-domain one (the
 /// reported `vertices`/`facets` describe it).
 pub fn connectivity_sweep_shared(points: &[SweepPoint], threads: usize) -> Vec<ConnectivityResult> {
-    use ps_topology::PreparedBoundary;
-    let mut groups: BTreeMap<SweepKey, Vec<usize>> = BTreeMap::new();
-    for (i, p) in points.iter().enumerate() {
-        groups.entry(p.shared_key()).or_default().push(i);
-    }
-    let jobs: Vec<(SweepKey, Vec<usize>)> = groups.into_iter().collect();
-    let answered: Vec<Vec<(usize, ConnectivityResult)>> =
-        ps_topology::parallel::parallel_map(&jobs, threads, |_, (key, idxs)| {
-            let k_max = idxs
-                .iter()
-                .map(|&i| points[i].k())
-                .max()
-                .expect("group is nonempty");
-            let values: BTreeSet<u64> = (0..=k_max as u64).collect();
-            let complex = build_key_complex(key, &values);
-            let (vertices, facets) = (complex.vertex_count(), complex.facet_count());
-            let mut pb = PreparedBoundary::of_id_complex(&complex);
-            // ascending k: each query extends the cached reduced prefix
-            let mut order: Vec<usize> = idxs.clone();
-            order.sort_by_key(|&i| points[i].k());
-            order
-                .into_iter()
-                .map(|i| {
-                    let q = points[i].k() as i32 - 1;
-                    let connected = pb.is_q_connected(q);
-                    let result = ConnectivityResult {
-                        vertices,
-                        facets,
-                        q,
-                        connected,
-                        assembled_columns: pb.assembled_columns(),
-                        additions: pb.stats().additions,
-                    };
-                    (i, result)
-                })
-                .collect()
+    let (_, answered) = grouped(points, threads, |key, values, idxs| {
+        // the labels are not needed: drop the pool before the boundary
+        let complex = key.task_parts(values).into_complex();
+        let (vertices, facets) = (complex.vertex_count(), complex.facet_count());
+        let mut pb = ps_topology::PreparedBoundary::of_id_complex(&complex);
+        // ascending k: each query extends the cached reduced prefix
+        let mut order = idxs.to_vec();
+        order.sort_by_key(|&i| points[i].k());
+        let answers = order.into_iter().map(|i| {
+            let q = points[i].k() as i32 - 1;
+            let connected = pb.is_q_connected(q);
+            let result = ConnectivityResult {
+                vertices,
+                facets,
+                q,
+                connected,
+                assembled_columns: pb.assembled_columns(),
+                additions: pb.stats().additions,
+            };
+            (i, result)
         });
-    let mut out: Vec<Option<ConnectivityResult>> = vec![None; points.len()];
-    for group in answered {
-        for (i, r) in group {
-            out[i] = Some(r);
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("every point belongs to exactly one group"))
-        .collect()
-}
-
-/// [`connectivity_sweep_shared`] with the globally configured thread
-/// count.
-pub fn connectivity_sweep_shared_auto(points: &[SweepPoint]) -> Vec<ConnectivityResult> {
-    connectivity_sweep_shared(points, ps_topology::parallel::configured_threads())
+        answers.collect::<Vec<_>>()
+    });
+    scatter(points.len(), answered.into_iter().flatten())
 }
 
 /// Metrics from one store-backed sweep ([`solvability_sweep_shared_store`]).
@@ -1194,6 +1112,42 @@ pub struct StoreSweepReport {
     /// so their verdicts replay on identical rebuilds but never
     /// transfer to merely-isomorphic instances.
     pub inexact_keys: usize,
+}
+
+/// The store probe of [`solvability_sweep_shared_store`] and
+/// [`crate::QueryEngine`]: `k`'s verdict under the instance's structural
+/// address, else under the canonical address of the key `canonical`
+/// yields. `canonical` runs only after a structural miss, so a caller
+/// may compute the key lazily or decline to.
+pub(crate) fn probe<'a>(
+    store: &VerdictStore,
+    structural: &StructuralKey,
+    k: usize,
+    canonical: impl FnOnce() -> Option<&'a ExactKey>,
+) -> Option<SolvabilityResult> {
+    let constraint = AgreementConstraint::AtMostKDistinct(k);
+    store
+        .get(&StoreKey::structural(structural, constraint))
+        .or_else(|| store.get(&StoreKey::new(canonical()?, constraint)))
+        .map(SolvabilityResult::from)
+}
+
+/// The persist step paired with [`probe`]: records `k`'s verdict under
+/// the structural address, and under the canonical one when `exact` is
+/// known. Returns `true` when either record is new.
+pub(crate) fn persist(
+    store: &mut VerdictStore,
+    structural: &StructuralKey,
+    exact: Option<&ExactKey>,
+    k: usize,
+    r: &SolvabilityResult,
+) -> bool {
+    let constraint = AgreementConstraint::AtMostKDistinct(k);
+    let mut persisted = store.insert(&StoreKey::structural(structural, constraint), r.into());
+    if let Some(key) = exact {
+        persisted |= store.insert(&StoreKey::new(key, constraint), r.into());
+    }
+    persisted
 }
 
 /// [`solvability_sweep_shared_opts`] warm-started from (and persisting
@@ -1227,81 +1181,44 @@ pub fn solvability_sweep_shared_store(
     opts: SweepOptions,
     store: &mut VerdictStore,
 ) -> std::io::Result<(Vec<SolvabilityResult>, StoreSweepReport)> {
-    let mut report = StoreSweepReport::default();
-    let mut groups: BTreeMap<SweepKey, Vec<usize>> = BTreeMap::new();
-    for (i, p) in points.iter().enumerate() {
-        groups.entry(p.shared_key()).or_default().push(i);
-    }
-    let jobs: Vec<(SweepKey, Vec<usize>)> = groups.into_iter().collect();
-    report.groups = jobs.len();
+    let (groups, built) = grouped(points, threads, |key, values, _| {
+        key.prepare(values, opts.symmetry)
+    });
 
-    // Phase A1 (parallel): build each group's instance (+ symmetries).
-    let job_ids: Vec<usize> = (0..jobs.len()).collect();
-    let built: Vec<PreparedGroup> =
-        ps_topology::parallel::parallel_map(&job_ids, threads, |_, &j| {
-            let (key, idxs) = &jobs[j];
-            let k_max = idxs
-                .iter()
-                .map(|&i| points[i].k())
-                .max()
-                .expect("group is nonempty");
-            let values: BTreeSet<u64> = (0..=k_max as u64).collect();
-            build_group(key, &values, opts.symmetry)
-        });
-
-    // Phase A2 (parallel): address every group — a cheap structural
-    // key always, plus the exact canonical key when the (size-gated)
+    // Address every group (parallel): a cheap structural key always,
+    // plus the exact canonical key when the (size-gated)
     // canonicalization attempt succeeds.
-    let keys: Vec<(crate::symmetry::StructuralKey, Option<ExactKey>)> =
-        ps_topology::parallel::parallel_map(&job_ids, threads, |_, &j| {
-            (built[j].structural_key(), built[j].key_gated())
-        });
-    report.inexact_keys = keys.iter().filter(|(_, k)| k.is_none()).count();
-    let mut rep_of: Vec<usize> = (0..jobs.len()).collect();
+    let keys: Vec<(StructuralKey, Option<ExactKey>)> =
+        parallel_map(&built, threads, |_, g| (g.structural_key(), g.key_gated()));
+    let mut rep_of: Vec<usize> = (0..groups.len()).collect();
     let mut by_exact: BTreeMap<&ExactKey, usize> = BTreeMap::new();
-    let mut by_structural: BTreeMap<&crate::symmetry::StructuralKey, usize> = BTreeMap::new();
+    let mut by_structural: BTreeMap<&StructuralKey, usize> = BTreeMap::new();
     for (j, (structural, exact)) in keys.iter().enumerate() {
         rep_of[j] = match exact {
             Some(key) => *by_exact.entry(key).or_insert(j),
             None => *by_structural.entry(structural).or_insert(j),
         };
     }
-
-    // Per class: the union of its members' agreement parameters.
-    let mut class_ks: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for (j, (_, idxs)) in jobs.iter().enumerate() {
-        let ks = class_ks.entry(rep_of[j]).or_default();
-        ks.extend(idxs.iter().map(|&i| points[i].k()));
-    }
-    report.classes = class_ks.len();
+    let class_ks = class_ks(points, &groups, &rep_of);
+    let mut report = StoreSweepReport {
+        groups: groups.len(),
+        classes: class_ks.len(),
+        inexact_keys: keys.iter().filter(|(_, k)| k.is_none()).count(),
+        ..StoreSweepReport::default()
+    };
 
     // Warm start: replay every stored (class, k) verdict; what's left
     // becomes solver work.
     let mut verdicts: BTreeMap<(usize, usize), SolvabilityResult> = BTreeMap::new();
     let mut miss_jobs: Vec<(usize, Vec<usize>)> = Vec::new();
     for (rep, ks) in class_ks {
+        let (structural, exact) = &keys[rep];
         let mut missing = Vec::new();
         for k in ks {
-            let constraint = AgreementConstraint::AtMostKDistinct(k);
-            let (structural, exact) = &keys[rep];
-            let hit = store
-                .get(&StoreKey::structural(structural, constraint))
-                .or_else(|| {
-                    exact
-                        .as_ref()
-                        .and_then(|key| store.get(&StoreKey::new(key, constraint)))
-                });
-            match hit {
-                Some(v) => {
+            match probe(store, structural, k, || exact.as_ref()) {
+                Some(r) => {
                     report.store_hits += 1;
-                    verdicts.insert(
-                        (rep, k),
-                        SolvabilityResult {
-                            solvable: v.solvable,
-                            vertices: v.vertices as usize,
-                            facets: v.facets as usize,
-                        },
-                    );
+                    verdicts.insert((rep, k), r);
                 }
                 None => missing.push(k),
             }
@@ -1311,51 +1228,21 @@ pub fn solvability_sweep_shared_store(
         }
     }
 
-    // Phase B (parallel, checkpointed): solve the misses in chunks of
-    // `threads` classes, flushing a new segment after each chunk so a
-    // kill loses at most one chunk of work.
+    // Solve the misses in chunks of `threads` classes (parallel),
+    // flushing a new segment after each chunk so a kill loses at most
+    // one chunk of work.
     for chunk in miss_jobs.chunks(threads.max(1)) {
-        let solved: Vec<Vec<(usize, SolvabilityResult)>> =
-            ps_topology::parallel::parallel_map(chunk, threads, |_, (rep, ks)| {
-                built[*rep].solve_ks(ks, opts.learning)
-            });
-        for ((rep, _), results) in chunk.iter().zip(solved) {
-            for (k, r) in results {
-                report.solver_calls += 1;
-                let constraint = AgreementConstraint::AtMostKDistinct(k);
-                let verdict = StoredVerdict {
-                    solvable: r.solvable,
-                    vertices: r.vertices as u64,
-                    facets: r.facets as u64,
-                };
-                let (structural, exact) = &keys[*rep];
-                let mut persisted =
-                    store.insert(&StoreKey::structural(structural, constraint), verdict);
-                if let Some(key) = exact {
-                    persisted |= store.insert(&StoreKey::new(key, constraint), verdict);
-                }
-                if persisted {
-                    report.persisted += 1;
-                }
-                verdicts.insert((*rep, k), r);
+        for ((rep, k), r) in solve_classes(&built, chunk, threads, opts.learning) {
+            report.solver_calls += 1;
+            let (structural, exact) = &keys[rep];
+            if persist(store, structural, exact.as_ref(), k, &r) {
+                report.persisted += 1;
             }
+            verdicts.insert((rep, k), r);
         }
         store.flush()?;
     }
-
-    // Scatter: replay each class's verdicts to every member point.
-    let mut out: Vec<Option<SolvabilityResult>> = vec![None; points.len()];
-    for (j, (_, idxs)) in jobs.iter().enumerate() {
-        for &i in idxs {
-            out[i] = Some(verdicts[&(rep_of[j], points[i].k())].clone());
-        }
-    }
-    Ok((
-        out.into_iter()
-            .map(|r| r.expect("every point belongs to exactly one group"))
-            .collect(),
-        report,
-    ))
+    Ok((replay(points, &groups, &rep_of, &verdicts), report))
 }
 
 /// Approximate-agreement experiment: is there a decision map on the
@@ -1614,7 +1501,7 @@ mod tests {
     }
 
     #[test]
-    fn solvable_opts_toggles_match_default() {
+    fn run_opts_toggles_match_default() {
         // neither orbit branching nor nogood learning may change a
         // verdict, alone or combined
         let configs = [
@@ -1631,32 +1518,48 @@ mod tests {
                 learning: false,
             },
         ];
+        let mut points: Vec<SweepPoint> = [(1usize, 1usize), (2, 1), (2, 2)]
+            .into_iter()
+            .map(|(k, f)| SweepPoint::Async {
+                k,
+                f,
+                n_plus_1: 3,
+                rounds: 1,
+            })
+            .collect();
+        points.extend([
+            SweepPoint::Sync {
+                k: 1,
+                f: 1,
+                n_plus_1: 3,
+                k_per_round: 1,
+                rounds: 2,
+            },
+            SweepPoint::SemiSync {
+                k: 1,
+                f: 1,
+                n_plus_1: 2,
+                k_per_round: 1,
+                microrounds: 2,
+                rounds: 1,
+            },
+            SweepPoint::Byzantine {
+                k: 2,
+                t: 1,
+                n_plus_1: 3,
+                rounds: 1,
+            },
+            SweepPoint::Dynamic {
+                k: 1,
+                n_plus_1: 2,
+                family: GraphFamily::Rooted,
+                rounds: 1,
+            },
+        ]);
         for opts in configs {
-            for (k, f) in [(1usize, 1usize), (2, 1), (2, 2)] {
-                let on = async_solvable(k, f, 3, 1);
-                let off = async_solvable_opts(k, f, 3, 1, opts);
-                assert_eq!(on, off, "async k={k} f={f} {opts:?}");
+            for p in &points {
+                assert_eq!(p.run(), p.run_opts(opts), "{p:?} {opts:?}");
             }
-            assert_eq!(
-                sync_solvable(1, 1, 3, 1, 2),
-                sync_solvable_opts(1, 1, 3, 1, 2, opts),
-                "{opts:?}"
-            );
-            assert_eq!(
-                semisync_solvable(1, 1, 2, 1, 2, 1),
-                semisync_solvable_opts(1, 1, 2, 1, 2, 1, opts),
-                "{opts:?}"
-            );
-            assert_eq!(
-                byzantine_solvable(2, 1, 3, 1),
-                byzantine_solvable_opts(2, 1, 3, 1, opts),
-                "{opts:?}"
-            );
-            assert_eq!(
-                dynamic_solvable(1, 2, GraphFamily::Rooted, 1),
-                dynamic_solvable_opts(1, 2, GraphFamily::Rooted, 1, opts),
-                "{opts:?}"
-            );
         }
     }
 
@@ -1697,13 +1600,73 @@ mod tests {
         assert_eq!(idc.facet_count(), c.facet_count());
         assert_eq!(idc.vertex_count(), c.vertex_count());
 
-        let c = byzantine_task_complex(&task, 3, 1, 1);
+        // the key dispatch builds exactly what the model's builder does
+        let labelled = |parts: TaskParts| match parts {
+            TaskParts::Viewed(pool, idc) => Complex::from_interned(&pool, &idc),
+            TaskParts::SsViewed(..) => panic!("plain views expected"),
+        };
+        let key = SweepKey::Byzantine {
+            t: 1,
+            n_plus_1: 3,
+            rounds: 1,
+        };
         let (pool, idc) = byzantine_task_parts(&task.values, 3, 1, 1);
-        assert_eq!(Complex::from_interned(&pool, &idc), c);
-
-        let c = dynamic_task_complex(&task, 2, GraphFamily::Rooted, 1);
+        assert_eq!(
+            labelled(key.task_parts(&task.values)),
+            Complex::from_interned(&pool, &idc)
+        );
+        let key = SweepKey::Dynamic {
+            n_plus_1: 2,
+            family: GraphFamily::Rooted,
+            rounds: 1,
+        };
         let (pool, idc) = dynamic_task_parts(&task.values, 2, GraphFamily::Rooted, 1);
-        assert_eq!(Complex::from_interned(&pool, &idc), c);
+        assert_eq!(
+            labelled(key.task_parts(&task.values)),
+            Complex::from_interned(&pool, &idc)
+        );
+    }
+
+    #[test]
+    fn check_rejects_what_the_builders_cannot_take() {
+        let async_point = |k, n_plus_1| SweepPoint::Async {
+            k,
+            f: 0,
+            n_plus_1,
+            rounds: 1,
+        };
+        assert_eq!(async_point(1, 3).check(), Ok(()));
+        assert_eq!(async_point(1, MAX_SUBSET_BASE).check(), Ok(()));
+        assert!(async_point(0, 3).check().unwrap_err().contains("k ≥ 1"));
+        for n_plus_1 in [0, MAX_SUBSET_BASE + 1, 33] {
+            let err = async_point(1, n_plus_1).check().unwrap_err();
+            assert!(err.contains("process count"), "{n_plus_1}: {err}");
+        }
+        let dynamic = SweepPoint::Dynamic {
+            k: 1,
+            n_plus_1: DynamicModel::MAX_PROCESSES + 1,
+            family: GraphFamily::Rooted,
+            rounds: 1,
+        };
+        assert_eq!(
+            dynamic.check().unwrap_err(),
+            "the dynamic model supports at most 8 processes, got 9"
+        );
+        let semisync = SweepPoint::SemiSync {
+            k: 1,
+            f: 1,
+            n_plus_1: 3,
+            k_per_round: 1,
+            microrounds: 0,
+            rounds: 1,
+        };
+        assert!(semisync.check().unwrap_err().contains("microround"));
+    }
+
+    #[test]
+    #[should_panic(expected = "input faces limited to ≤ 20 processes, got 33")]
+    fn input_faces_rejects_masks_it_cannot_hold() {
+        input_faces(33, &[0, 1].into_iter().collect(), 33);
     }
 
     #[test]

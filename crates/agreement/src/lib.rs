@@ -68,14 +68,11 @@ pub use conform::{
 pub mod experiments;
 pub use experiments::{
     allowed_values, allowed_values_ss, async_approximate_solvable, async_solvable,
-    async_solvable_opts, async_task_complex, async_task_parts, byzantine_solvable,
-    byzantine_solvable_opts, byzantine_task_complex, byzantine_task_parts,
-    connectivity_sweep_shared, connectivity_sweep_shared_auto, corollary10_async, dynamic_solvable,
-    dynamic_solvable_opts, dynamic_task_complex, dynamic_task_parts, input_faces,
-    semisync_solvable, semisync_solvable_opts, semisync_task_complex, semisync_task_parts,
-    solvability, solvability_sweep, solvability_sweep_auto, solvability_sweep_opts,
-    solvability_sweep_shared, solvability_sweep_shared_auto, solvability_sweep_shared_opts,
-    solvability_sweep_shared_store, sync_solvable, sync_solvable_opts, sync_task_complex,
-    sync_task_parts, ConnectivityResult, Corollary10Report, SolvabilityResult, StoreSweepReport,
-    SweepKey, SweepOptions, SweepPoint,
+    async_task_complex, async_task_parts, byzantine_solvable, byzantine_task_parts,
+    connectivity_sweep_shared, corollary10_async, dynamic_solvable, dynamic_task_parts,
+    input_faces, semisync_solvable, semisync_task_complex, semisync_task_parts, solvability_sweep,
+    solvability_sweep_opts, solvability_sweep_shared, solvability_sweep_shared_opts,
+    solvability_sweep_shared_store, sync_solvable, sync_task_complex, sync_task_parts,
+    ConnectivityResult, Corollary10Report, SolvabilityResult, StoreSweepReport, SweepKey,
+    SweepOptions, SweepPoint, TaskParts,
 };

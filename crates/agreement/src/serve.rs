@@ -36,12 +36,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::time::Instant;
 
+use ps_topology::parallel::parallel_map;
+
 use crate::experiments::{
-    build_group, PreparedGroup, SolvabilityResult, SweepKey, SweepOptions,
+    persist, probe, PreparedGroup, SolvabilityResult, SweepKey, SweepOptions,
     CANON_ATTEMPT_MAX_VERTICES,
 };
-use crate::solver::AgreementConstraint;
-use crate::store::{StoreKey, StoredVerdict, VerdictStore};
+use crate::store::VerdictStore;
 use crate::symmetry::{ExactKey, StructuralKey};
 use crate::SweepPoint;
 
@@ -121,8 +122,9 @@ impl ServeMetrics {
     }
 }
 
-/// A warm prepared instance plus its lazily computed store addresses:
-/// the cheap structural key, and the canonical key (`None` = not yet
+/// A warm prepared instance plus its store addresses: the cheap
+/// structural key (computed with the instance when a store is
+/// attached), and the canonical key, computed lazily (`None` = not yet
 /// attempted; `Some(None)` = attempted and gated off or budget-cut).
 struct PreparedEntry {
     group: PreparedGroup,
@@ -131,25 +133,20 @@ struct PreparedEntry {
     build_micros: u128,
 }
 
-impl PreparedEntry {
-    fn structural(&mut self) -> &StructuralKey {
-        if self.structural.is_none() {
-            self.structural = Some(self.group.structural_key());
+/// The canonical key, attempting the size-gated canonicalization on
+/// first use; bumps `key_computations` when an attempt actually runs.
+fn canonical<'a>(
+    key: &'a mut Option<Option<ExactKey>>,
+    group: &PreparedGroup,
+    metrics: &mut ServeMetrics,
+) -> Option<&'a ExactKey> {
+    key.get_or_insert_with(|| {
+        if group.vertex_count() <= CANON_ATTEMPT_MAX_VERTICES {
+            metrics.key_computations += 1;
         }
-        self.structural.as_ref().expect("just filled")
-    }
-
-    /// The canonical key, attempting the size-gated canonicalization on
-    /// first use; bumps `key_computations` when an attempt actually runs.
-    fn canonical(&mut self, metrics: &mut ServeMetrics) -> Option<&ExactKey> {
-        if self.key.is_none() {
-            if self.group.vertex_count() <= CANON_ATTEMPT_MAX_VERTICES {
-                metrics.key_computations += 1;
-            }
-            self.key = Some(self.group.key_gated());
-        }
-        self.key.as_ref().expect("just filled").as_ref()
-    }
+        group.key_gated()
+    })
+    .as_ref()
 }
 
 /// The long-running query engine: session cache, warm instances, and
@@ -158,7 +155,7 @@ pub struct QueryEngine {
     store: Option<VerdictStore>,
     threads: usize,
     opts: SweepOptions,
-    session: BTreeMap<(SweepKey, usize), (SolvabilityResult, u128)>,
+    session: BTreeMap<(SweepKey, usize), SolvabilityResult>,
     prepared: BTreeMap<(SweepKey, usize), PreparedEntry>,
     metrics: ServeMetrics,
 }
@@ -205,25 +202,22 @@ impl QueryEngine {
     /// the outcome. New verdicts are flushed to the store before the
     /// batch returns, so a served batch is a durable checkpoint.
     pub fn answer_batch(&mut self, queries: &[SweepPoint]) -> io::Result<Vec<QueryAnswer>> {
-        // distinct work items, first-appearance order
-        let mut order: Vec<(SweepKey, usize)> = Vec::new();
-        let mut seen: BTreeSet<(SweepKey, usize)> = BTreeSet::new();
-        for q in queries {
-            let item = (q.shared_key(), q.k());
-            if seen.insert(item.clone()) {
-                order.push(item);
-            }
-        }
-
+        // distinct work items, first-appearance order; session hits are
+        // answered at once
         let mut outcomes: BTreeMap<(SweepKey, usize), (SolvabilityResult, AnswerSource, u128)> =
             BTreeMap::new();
+        let mut seen: BTreeSet<(SweepKey, usize)> = BTreeSet::new();
         let mut todo: Vec<(SweepKey, usize)> = Vec::new();
-        for item in &order {
-            match self.session.get(item) {
-                Some((r, _)) => {
-                    outcomes.insert(item.clone(), (r.clone(), AnswerSource::Session, 0));
+        for q in queries {
+            let item = (q.shared_key(), q.k());
+            if !seen.insert(item.clone()) {
+                continue;
+            }
+            match self.session.get(&item) {
+                Some(r) => {
+                    outcomes.insert(item, (r.clone(), AnswerSource::Session, 0));
                 }
-                None => todo.push(item.clone()),
+                None => todo.push(item),
             }
         }
 
@@ -234,61 +228,41 @@ impl QueryEngine {
             .filter(|it| !self.prepared.contains_key(*it))
             .cloned()
             .collect();
-        let symmetry = self.opts.symmetry;
-        let built: Vec<(PreparedGroup, u128)> =
-            ps_topology::parallel::parallel_map(&missing, self.threads, |_, (key, k)| {
-                let t = Instant::now();
-                let values: BTreeSet<u64> = (0..=*k as u64).collect();
-                let g = build_group(key, &values, symmetry);
-                (g, t.elapsed().as_micros())
-            });
+        let (symmetry, addressed) = (self.opts.symmetry, self.store.is_some());
+        let built = parallel_map(&missing, self.threads, |_, (key, k)| {
+            let t = Instant::now();
+            let group = key.prepare(&(0..=*k as u64).collect(), symmetry);
+            PreparedEntry {
+                structural: addressed.then(|| group.structural_key()),
+                group,
+                key: None,
+                build_micros: t.elapsed().as_micros(),
+            }
+        });
         self.metrics.prepared_builds += missing.len() as u64;
         self.metrics.prepared_reuses += (todo.len() - missing.len()) as u64;
-        for (item, (group, build_micros)) in missing.into_iter().zip(built) {
-            self.prepared.insert(
-                item,
-                PreparedEntry {
-                    group,
-                    structural: None,
-                    key: None,
-                    build_micros,
-                },
-            );
-        }
+        self.prepared.extend(missing.into_iter().zip(built));
 
         // store probe: structural address first, then the canonical
-        // address behind the fingerprint pre-filter
+        // address behind the fingerprint pre-filter (an absent
+        // fingerprint proves the canonical lookup would miss)
         let mut solve_items: Vec<(SweepKey, usize)> = Vec::new();
         for item in &todo {
             let entry = self.prepared.get_mut(item).expect("built above");
-            let constraint = AgreementConstraint::AtMostKDistinct(item.1);
-            let hit = match &self.store {
-                None => None,
-                Some(store) => store
-                    .get(&StoreKey::structural(entry.structural(), constraint))
-                    .or_else(|| {
-                        if !store.contains_fingerprint(&entry.group.fingerprint()) {
-                            self.metrics.key_skips += 1;
-                            return None;
-                        }
-                        let key = entry.canonical(&mut self.metrics)?;
-                        store.get(&StoreKey::new(key, constraint))
-                    }),
+            let hit = match (&self.store, &entry.structural) {
+                (Some(store), Some(structural)) => probe(store, structural, item.1, || {
+                    if !store.contains_fingerprint(&entry.group.fingerprint()) {
+                        self.metrics.key_skips += 1;
+                        return None;
+                    }
+                    canonical(&mut entry.key, &entry.group, &mut self.metrics)
+                }),
+                _ => None,
             };
             match hit {
-                Some(v) => {
-                    outcomes.insert(
-                        item.clone(),
-                        (
-                            SolvabilityResult {
-                                solvable: v.solvable,
-                                vertices: v.vertices as usize,
-                                facets: v.facets as usize,
-                            },
-                            AnswerSource::Store,
-                            entry.build_micros,
-                        ),
-                    );
+                Some(r) => {
+                    let outcome = (r, AnswerSource::Store, entry.build_micros);
+                    outcomes.insert(item.clone(), outcome);
                 }
                 None => solve_items.push(item.clone()),
             }
@@ -297,43 +271,25 @@ impl QueryEngine {
         // solve the remaining items concurrently against warm instances
         let prepared = &self.prepared;
         let learning = self.opts.learning;
-        let solved: Vec<(SolvabilityResult, u128)> =
-            ps_topology::parallel::parallel_map(&solve_items, self.threads, |_, item| {
-                let t = Instant::now();
-                let entry = prepared.get(item).expect("built above");
-                let mut rs = entry.group.solve_ks(&[item.1], learning);
-                let (_, r) = rs.pop().expect("exactly one k");
-                (r, t.elapsed().as_micros())
-            });
+        let solved = parallel_map(&solve_items, self.threads, |_, item| {
+            let t = Instant::now();
+            let r = prepared[item].group.solve(item.1, learning);
+            (r, t.elapsed().as_micros())
+        });
         self.metrics.solver_calls += solve_items.len() as u64;
 
         // persist new verdicts — structural address always, canonical
         // address when available — then checkpoint
-        for (item, (r, solve_micros)) in solve_items.iter().zip(solved) {
-            let entry = self.prepared.get_mut(item).expect("built above");
-            if let Some(store) = self.store.as_mut() {
-                let constraint = AgreementConstraint::AtMostKDistinct(item.1);
-                let verdict = StoredVerdict {
-                    solvable: r.solvable,
-                    vertices: r.vertices as u64,
-                    facets: r.facets as u64,
-                };
-                let structural = StoreKey::structural(entry.structural(), constraint);
-                let canonical = entry
-                    .canonical(&mut self.metrics)
-                    .map(|key| StoreKey::new(key, constraint));
-                let mut persisted = store.insert(&structural, verdict);
-                if let Some(sk) = canonical {
-                    persisted |= store.insert(&sk, verdict);
-                }
-                if persisted {
+        for (item, (r, solve_micros)) in solve_items.into_iter().zip(solved) {
+            let entry = self.prepared.get_mut(&item).expect("built above");
+            if let (Some(store), Some(structural)) = (&mut self.store, &entry.structural) {
+                let exact = canonical(&mut entry.key, &entry.group, &mut self.metrics);
+                if persist(store, structural, exact, item.1, &r) {
                     self.metrics.persisted += 1;
                 }
             }
-            outcomes.insert(
-                item.clone(),
-                (r, AnswerSource::Solved, entry.build_micros + solve_micros),
-            );
+            let micros = entry.build_micros + solve_micros;
+            outcomes.insert(item, (r, AnswerSource::Solved, micros));
         }
         if let Some(store) = &mut self.store {
             store.flush()?;
@@ -341,13 +297,11 @@ impl QueryEngine {
 
         // extend the session cache and emit answers in query order
         for item in &todo {
-            let (r, _, micros) = &outcomes[item];
-            self.session.insert(item.clone(), (r.clone(), *micros));
+            self.session.insert(item.clone(), outcomes[item].0.clone());
         }
         let mut answers = Vec::with_capacity(queries.len());
         for q in queries {
-            let item = (q.shared_key(), q.k());
-            let (r, source, micros) = outcomes[&item].clone();
+            let (result, source, micros) = outcomes[&(q.shared_key(), q.k())].clone();
             self.metrics.queries += 1;
             match source {
                 AnswerSource::Session => self.metrics.session_hits += 1,
@@ -357,7 +311,7 @@ impl QueryEngine {
             self.metrics.total_micros += micros;
             self.metrics.max_micros = self.metrics.max_micros.max(micros);
             answers.push(QueryAnswer {
-                result: r,
+                result,
                 source,
                 micros,
             });

@@ -4,10 +4,9 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use ps_agreement::{
-    async_solvable_opts, byzantine_solvable_opts, conformance_check, dynamic_solvable_opts,
-    semisync_solvable_opts, solvability_sweep_opts, solvability_sweep_shared_opts,
-    solvability_sweep_shared_store, stretch_experiment, sync_solvable_opts, ConformConfig,
-    FloodSet, QueryEngine, SweepOptions, SweepPoint, VerdictStore,
+    conformance_check, solvability_sweep_opts, solvability_sweep_shared_opts,
+    solvability_sweep_shared_store, stretch_experiment, ConformConfig, FloodSet, QueryEngine,
+    SweepOptions, SweepPoint, TaskParts, VerdictStore,
 };
 use ps_core::{process_simplex, MvProver, ProcessId, Pseudosphere};
 use ps_models::{
@@ -145,18 +144,6 @@ fn family_opt(args: &Args) -> Result<GraphFamily, ArgError> {
             "--family expects `rooted` or `strong`, got `{other}`"
         ))),
     }
-}
-
-/// Rejects process counts the dynamic model cannot enumerate (more than
-/// [`DynamicModel::MAX_PROCESSES`]) before any graph is built.
-fn check_dynamic_procs(n: usize) -> Result<(), String> {
-    if n > DynamicModel::MAX_PROCESSES {
-        return Err(format!(
-            "the dynamic model supports at most {} processes, got {n}",
-            DynamicModel::MAX_PROCESSES
-        ));
-    }
-    Ok(())
 }
 
 /// Resolves the model name from `--model NAME` or the first positional
@@ -333,6 +320,11 @@ fn complex(args: &Args) -> Result<(), ArgError> {
     let t = args.usize_opt("t", 1)?;
     let rounds = args.usize_opt("rounds", 1)?;
     let format = args.str_opt("format", "summary");
+    // the sweeps' bounds on --procs and --p (iis takes async's); --k is
+    // a per-round crash bound here, not an agreement parameter, so the
+    // check runs at k = 1
+    let checked = if model == "iis" { "async" } else { &model };
+    point_from_args(args, checked, 1, rounds)?;
     let inputs: Vec<u8> = (0..n as u8).collect();
     let input = input_simplex(&inputs);
     let title = format!("{model} complex, {n} processes, {rounds} round(s)");
@@ -358,7 +350,6 @@ fn complex(args: &Args) -> Result<(), ArgError> {
             render(&m.protocol_complex(&input, rounds), &title, &format)?
         }
         "dynamic" => {
-            check_dynamic_procs(n).map_err(ArgError)?;
             let m = DynamicModel::new(n, family_opt(args)?);
             render(&m.protocol_complex(&input, rounds), &title, &format)?
         }
@@ -416,41 +407,11 @@ fn run_prover<P: Label, U: Label>(union: &ps_core::PseudosphereUnion<P, U>, leve
 }
 
 fn solve(args: &Args) -> Result<(), ArgError> {
-    let model = model_arg(args, &["async", "sync", "semisync", "byzantine", "dynamic"])?;
-    let n = args.usize_opt("procs", 3)?;
-    let f = args.usize_opt("f", 1)?;
+    let model = model_arg(args, &MODELS)?;
     let k = args.usize_opt("k", 1)?;
-    let p = args.u32_opt("p", 2)?;
-    let t = args.usize_opt("t", 1)?;
     let rounds = args.usize_opt("rounds", 1)?;
-    let opts = sweep_options(args)?;
-    let (res, budget) = match model.as_str() {
-        "async" => (
-            async_solvable_opts(k, f, n, rounds, opts),
-            format!("f = {f}"),
-        ),
-        "sync" => (
-            sync_solvable_opts(k, f, n, k.max(1).min(f.max(1)), rounds, opts),
-            format!("f = {f}"),
-        ),
-        "semisync" => (
-            semisync_solvable_opts(k, f, n, k.max(1).min(f.max(1)), p, rounds, opts),
-            format!("f = {f}"),
-        ),
-        "byzantine" => (
-            byzantine_solvable_opts(k, t, n, rounds, opts),
-            format!("t = {t}"),
-        ),
-        "dynamic" => {
-            check_dynamic_procs(n).map_err(ArgError)?;
-            let family = family_opt(args)?;
-            (
-                dynamic_solvable_opts(k, n, family, rounds, opts),
-                format!("family = {}", family.name()),
-            )
-        }
-        _ => unreachable!("model_arg validated the name"),
-    };
+    let res = point_from_args(args, &model, k, rounds)?.run_opts(sweep_options(args)?);
+    let (n, budget) = (args.usize_opt("procs", 3)?, budget(args, &model)?);
     println!("{model} {k}-set agreement, {n} processes, {budget}, r = {rounds}:");
     println!(
         "  protocol complex: {} vertices, {} facets",
@@ -464,101 +425,104 @@ fn solve(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// The shared `(k, r)` grid parameters of `sweep` and `conform`.
-struct GridParams {
-    n: usize,
-    f: usize,
-    k_max: usize,
-    t: usize,
-    family: GraphFamily,
-    r_max: usize,
-}
+/// The models every solver-backed subcommand accepts.
+const MODELS: [&str; 5] = ["async", "sync", "semisync", "byzantine", "dynamic"];
 
-/// Builds the `(k, r)` grid of [`SweepPoint`]s for `model` from the
-/// shared `--procs/--f/--k/--p/--t/--family/--rounds` options.
-fn grid_points(args: &Args, model: &str) -> Result<(Vec<SweepPoint>, GridParams), ArgError> {
-    let n = args.usize_opt("procs", 3)?;
+/// The one map from a model name and the shared
+/// `--procs/--f/--p/--t/--family` options to a [`SweepPoint`] for
+/// agreement parameter `k` at `rounds` rounds, checked by
+/// [`SweepPoint::check`]. Sync and semisync crash at most
+/// `min(k, f)` processes per round.
+fn point_from_args(
+    args: &Args,
+    model: &str,
+    k: usize,
+    rounds: usize,
+) -> Result<SweepPoint, ArgError> {
+    let n_plus_1 = args.usize_opt("procs", 3)?;
     let f = args.usize_opt("f", 1)?;
-    let k_max = args.usize_opt("k", 1)?;
-    let p = args.u32_opt("p", 2)?;
+    let microrounds = args.u32_opt("p", 2)?;
     let t = args.usize_opt("t", 1)?;
     let family = family_opt(args)?;
+    let k_per_round = k.max(1).min(f.max(1));
+    let point = match model {
+        "async" => SweepPoint::Async {
+            k,
+            f,
+            n_plus_1,
+            rounds,
+        },
+        "sync" => SweepPoint::Sync {
+            k,
+            f,
+            n_plus_1,
+            k_per_round,
+            rounds,
+        },
+        "semisync" => SweepPoint::SemiSync {
+            k,
+            f,
+            n_plus_1,
+            k_per_round,
+            microrounds,
+            rounds,
+        },
+        "byzantine" => SweepPoint::Byzantine {
+            k,
+            t,
+            n_plus_1,
+            rounds,
+        },
+        "dynamic" => SweepPoint::Dynamic {
+            k,
+            n_plus_1,
+            family,
+            rounds,
+        },
+        _ => unreachable!("model_arg validated the name"),
+    };
+    point.check().map_err(ArgError)?;
+    Ok(point)
+}
+
+/// The budget `model`'s output names: `t` for Byzantine, the graph
+/// family for dynamic, `f` otherwise.
+fn budget(args: &Args, model: &str) -> Result<String, ArgError> {
+    Ok(match model {
+        "byzantine" => format!("t = {}", args.usize_opt("t", 1)?),
+        "dynamic" => format!("family = {}", family_opt(args)?.name()),
+        _ => format!("f = {}", args.usize_opt("f", 1)?),
+    })
+}
+
+/// Grid points beside their `(k, r)` coordinates.
+type Grid = Vec<((usize, usize), SweepPoint)>;
+
+/// The `(k, r)` grid of `sweep` and `conform`: every point up to
+/// `--k` and `--rounds` (at least one round), in `k`-major order.
+fn grid_points(args: &Args, model: &str) -> Result<Grid, ArgError> {
+    let k_max = args.usize_opt("k", 1)?;
     let r_max = args.usize_opt("rounds", 1)?;
-    if model == "dynamic" {
-        check_dynamic_procs(n).map_err(ArgError)?;
-    }
-    let mut points = Vec::new();
+    let mut grid = Vec::new();
     for k in 1..=k_max.max(1) {
         for rounds in 1..=r_max.max(1) {
-            let k_per_round = k.max(1).min(f.max(1));
-            points.push(match model {
-                "async" => SweepPoint::Async {
-                    k,
-                    f,
-                    n_plus_1: n,
-                    rounds,
-                },
-                "sync" => SweepPoint::Sync {
-                    k,
-                    f,
-                    n_plus_1: n,
-                    k_per_round,
-                    rounds,
-                },
-                "semisync" => SweepPoint::SemiSync {
-                    k,
-                    f,
-                    n_plus_1: n,
-                    k_per_round,
-                    microrounds: p,
-                    rounds,
-                },
-                "byzantine" => SweepPoint::Byzantine {
-                    k,
-                    t,
-                    n_plus_1: n,
-                    rounds,
-                },
-                "dynamic" => SweepPoint::Dynamic {
-                    k,
-                    n_plus_1: n,
-                    family,
-                    rounds,
-                },
-                _ => unreachable!("model_arg validated the name"),
-            });
+            // `k.min(k_max)` hands `--k 0` to the check instead of
+            // quietly sweeping k = 1
+            let point = point_from_args(args, model, k.min(k_max), rounds)?;
+            grid.push(((k, rounds), point));
         }
     }
-    Ok((
-        points,
-        GridParams {
-            n,
-            f,
-            k_max,
-            t,
-            family,
-            r_max,
-        },
-    ))
+    Ok(grid)
 }
 
 /// Batched solvability sweep over every `(k, r)` grid point up to the
 /// given bounds. By default points differing only in `k` share one
 /// interned protocol complex and facet index
-/// ([`ps_agreement::solvability_sweep_shared_auto`]); `--independent`
+/// ([`ps_agreement::solvability_sweep_shared_opts`]); `--independent`
 /// restores the per-point canonical-domain path.
 fn sweep(args: &Args) -> Result<(), ArgError> {
-    let model = model_arg(args, &["async", "sync", "semisync", "byzantine", "dynamic"])?;
-    let (points, grid) = grid_points(args, &model)?;
-    let GridParams {
-        n,
-        f,
-        k_max,
-        t,
-        family,
-        r_max,
-        ..
-    } = grid;
+    let model = model_arg(args, &MODELS)?;
+    let (coords, points): (Vec<_>, Vec<_>) = grid_points(args, &model)?.into_iter().unzip();
     let threads = ps_topology::parallel::configured_threads();
     let independent = args.flag("independent");
     let opts = sweep_options(args)?;
@@ -572,15 +536,12 @@ fn sweep(args: &Args) -> Result<(), ArgError> {
             "--store uses the shared-complex path; drop --independent".into(),
         ));
     }
-    let budget = match model.as_str() {
-        "byzantine" => format!("t = {t}"),
-        "dynamic" => format!("family = {}", family.name()),
-        _ => format!("f = {f}"),
-    };
     println!(
-        "{model} sweep: {n} processes, {budget}, k = 1..={}, r = 1..={} ({} points, {threads} threads, symmetry {}, learning {})",
-        k_max.max(1),
-        r_max.max(1),
+        "{model} sweep: {} processes, {}, k = 1..={}, r = 1..={} ({} points, {threads} threads, symmetry {}, learning {})",
+        args.usize_opt("procs", 3)?,
+        budget(args, &model)?,
+        args.usize_opt("k", 1)?,
+        args.usize_opt("rounds", 1)?.max(1),
         points.len(),
         if opts.symmetry { "on" } else { "off" },
         if opts.learning { "on" } else { "off" },
@@ -618,14 +579,7 @@ fn sweep(args: &Args) -> Result<(), ArgError> {
         "  {:>3} {:>3} {:>10} {:>8}  outcome",
         "k", "r", "vertices", "facets"
     );
-    for (pt, res) in points.iter().zip(&results) {
-        let (k, rounds) = match *pt {
-            SweepPoint::Async { k, rounds, .. }
-            | SweepPoint::Sync { k, rounds, .. }
-            | SweepPoint::SemiSync { k, rounds, .. }
-            | SweepPoint::Byzantine { k, rounds, .. }
-            | SweepPoint::Dynamic { k, rounds, .. } => (k, rounds),
-        };
+    for ((k, rounds), res) in coords.iter().zip(&results) {
         println!(
             "  {:>3} {:>3} {:>10} {:>8}  {}",
             k,
@@ -658,8 +612,8 @@ fn sweep(args: &Args) -> Result<(), ArgError> {
 /// violating execution) or UNBROKEN (an Impossible point with no
 /// witness found).
 fn conform(args: &Args) -> Result<(), ArgError> {
-    let model = model_arg(args, &["async", "sync", "semisync", "byzantine", "dynamic"])?;
-    let (points, grid) = grid_points(args, &model)?;
+    let model = model_arg(args, &MODELS)?;
+    let (_, points): (Vec<_>, Vec<_>) = grid_points(args, &model)?.into_iter().unzip();
     let threads = ps_topology::parallel::configured_threads();
     let opts = sweep_options(args)?;
     let defaults = ConformConfig::default();
@@ -672,9 +626,9 @@ fn conform(args: &Args) -> Result<(), ArgError> {
     println!(
         "{model} conformance: {} processes, k = 1..={}, r = 1..={} ({} points, {threads} threads, \
          schedule limit {}, seed {:#x})",
-        grid.n,
-        grid.k_max.max(1),
-        grid.r_max.max(1),
+        args.usize_opt("procs", 3)?,
+        args.usize_opt("k", 1)?,
+        args.usize_opt("rounds", 1)?.max(1),
         points.len(),
         cfg.exhaustive_limit,
         cfg.seed,
@@ -711,37 +665,19 @@ fn conform(args: &Args) -> Result<(), ArgError> {
 fn parse_query(line: &str) -> Result<SweepPoint, String> {
     let mut it = line.split_whitespace();
     let model = it.next().ok_or("empty query")?;
-    let toks: Vec<&str> = it.collect();
-    if model == "dynamic" {
-        let (nums, fam) = match toks.as_slice() {
-            [rest @ .., fam] => (rest, *fam),
-            [] => return Err("dynamic expects `dynamic K N R <rooted|strong>`".into()),
-        };
-        let family = match fam {
-            "rooted" => GraphFamily::Rooted,
-            "strong" => GraphFamily::StronglyConnected,
-            other => return Err(format!("`{other}` is not a family (rooted | strong)")),
-        };
-        let nums: Vec<usize> = nums
-            .iter()
-            .map(|t| {
-                t.parse::<usize>()
-                    .map_err(|_| format!("`{t}` is not a non-negative integer"))
-            })
-            .collect::<Result<_, _>>()?;
-        return match nums.as_slice() {
-            &[k, n, r] => {
-                check_dynamic_procs(n)?;
-                Ok(SweepPoint::Dynamic {
-                    k,
-                    n_plus_1: n,
-                    family,
-                    rounds: r,
-                })
+    let mut toks: Vec<&str> = it.collect();
+    // a dynamic query ends in its graph family
+    let family = match (model, toks.last()) {
+        ("dynamic", Some(&fam)) => {
+            toks.pop();
+            match fam {
+                "rooted" => Some(GraphFamily::Rooted),
+                "strong" => Some(GraphFamily::StronglyConnected),
+                other => return Err(format!("`{other}` is not a family (rooted | strong)")),
             }
-            _ => Err("dynamic expects `dynamic K N R <rooted|strong>`".into()),
-        };
-    }
+        }
+        _ => None,
+    };
     let nums: Vec<usize> = toks
         .iter()
         .map(|t| {
@@ -749,21 +685,21 @@ fn parse_query(line: &str) -> Result<SweepPoint, String> {
                 .map_err(|_| format!("`{t}` is not a non-negative integer"))
         })
         .collect::<Result<_, _>>()?;
-    match (model, nums.as_slice()) {
-        ("async", &[k, f, n, r]) => Ok(SweepPoint::Async {
+    let point = match (model, nums.as_slice(), family) {
+        ("async", &[k, f, n, r], _) => SweepPoint::Async {
             k,
             f,
             n_plus_1: n,
             rounds: r,
-        }),
-        ("sync", &[k, f, n, r, kpr]) => Ok(SweepPoint::Sync {
+        },
+        ("sync", &[k, f, n, r, kpr], _) => SweepPoint::Sync {
             k,
             f,
             n_plus_1: n,
             k_per_round: kpr,
             rounds: r,
-        }),
-        ("semisync", &[k, f, n, r, kpr, p]) => Ok(SweepPoint::SemiSync {
+        },
+        ("semisync", &[k, f, n, r, kpr, p], _) => SweepPoint::SemiSync {
             k,
             f,
             n_plus_1: n,
@@ -771,21 +707,32 @@ fn parse_query(line: &str) -> Result<SweepPoint, String> {
             microrounds: u32::try_from(p)
                 .map_err(|_| format!("P = {p} exceeds {} microrounds", u32::MAX))?,
             rounds: r,
-        }),
-        ("byzantine", &[k, t, n, r]) => Ok(SweepPoint::Byzantine {
+        },
+        ("byzantine", &[k, t, n, r], _) => SweepPoint::Byzantine {
             k,
             t,
             n_plus_1: n,
             rounds: r,
-        }),
-        ("async", _) => Err("async expects `async K F N R`".into()),
-        ("sync", _) => Err("sync expects `sync K F N R KPR`".into()),
-        ("semisync", _) => Err("semisync expects `semisync K F N R KPR P`".into()),
-        ("byzantine", _) => Err("byzantine expects `byzantine K T N R`".into()),
-        (other, _) => Err(format!(
-            "unknown model `{other}` (valid: async, sync, semisync, byzantine, dynamic)"
-        )),
-    }
+        },
+        ("dynamic", &[k, n, r], Some(family)) => SweepPoint::Dynamic {
+            k,
+            n_plus_1: n,
+            family,
+            rounds: r,
+        },
+        ("async", ..) => return Err("async expects `async K F N R`".into()),
+        ("sync", ..) => return Err("sync expects `sync K F N R KPR`".into()),
+        ("semisync", ..) => return Err("semisync expects `semisync K F N R KPR P`".into()),
+        ("byzantine", ..) => return Err("byzantine expects `byzantine K T N R`".into()),
+        ("dynamic", ..) => return Err("dynamic expects `dynamic K N R <rooted|strong>`".into()),
+        (other, ..) => {
+            return Err(format!(
+                "unknown model `{other}` (valid: async, sync, semisync, byzantine, dynamic)"
+            ))
+        }
+    };
+    point.check()?;
+    Ok(point)
 }
 
 /// One human-readable tag per query, echoed back with its verdict.
@@ -927,17 +874,7 @@ fn serve(args: &Args) -> Result<(), ArgError> {
 /// protocol complex (model mode) or differentially against the dense
 /// oracle on a fixed + randomized corpus (corpus mode, the CI gate).
 fn homology(args: &Args) -> Result<(), ArgError> {
-    let mode = model_arg(
-        args,
-        &[
-            "async",
-            "sync",
-            "semisync",
-            "byzantine",
-            "dynamic",
-            "corpus",
-        ],
-    )?;
+    let mode = model_arg(args, &[&MODELS[..], &["corpus"]].concat())?;
     if mode == "corpus" {
         homology_corpus(args)
     } else {
@@ -951,59 +888,24 @@ fn homology(args: &Args) -> Result<(), ArgError> {
 /// — the entry point of the CI bench-regression smoke and the
 /// EXPERIMENTS.md E20 scaling table.
 fn homology_model(args: &Args, model: &str) -> Result<(), ArgError> {
-    use ps_agreement::{
-        async_task_parts, byzantine_task_parts, dynamic_task_parts, semisync_task_parts,
-        sync_task_parts,
-    };
     use ps_topology::PreparedBoundary;
     use std::time::Instant;
 
-    let n = args.usize_opt("procs", 3)?;
     let f = args.usize_opt("f", 1)?;
     let k = args.usize_opt("k", 1)?;
-    let p = args.u32_opt("p", 2)?;
-    let t_byz = args.usize_opt("t", 1)?;
     let rounds = args.usize_opt("rounds", 1)?;
-    let kpr = k.max(1).min(f.max(1));
-    let want_oracle = args.flag("oracle");
+    let point = point_from_args(args, model, k, rounds)?;
     // Same value domain as the sweeps: k-set agreement over {0..=k}.
     let values: BTreeSet<u64> = (0..=k as u64).collect();
 
     let t0 = Instant::now();
-    let (id, t_build, oracle) = match model {
-        "async" => {
-            let (pool, id) = async_task_parts(&values, n, f, rounds);
-            let t = t0.elapsed();
-            let o = want_oracle.then(|| dense_oracle_timed(&pool, &id));
-            (id, t, o)
-        }
-        "sync" => {
-            let (pool, id) = sync_task_parts(&values, n, kpr, f, rounds);
-            let t = t0.elapsed();
-            let o = want_oracle.then(|| dense_oracle_timed(&pool, &id));
-            (id, t, o)
-        }
-        "semisync" => {
-            let (pool, id) = semisync_task_parts(&values, n, kpr, f, p, rounds);
-            let t = t0.elapsed();
-            let o = want_oracle.then(|| dense_oracle_timed(&pool, &id));
-            (id, t, o)
-        }
-        "byzantine" => {
-            let (pool, id) = byzantine_task_parts(&values, n, t_byz, rounds);
-            let t = t0.elapsed();
-            let o = want_oracle.then(|| dense_oracle_timed(&pool, &id));
-            (id, t, o)
-        }
-        "dynamic" => {
-            check_dynamic_procs(n).map_err(ArgError)?;
-            let (pool, id) = dynamic_task_parts(&values, n, family_opt(args)?, rounds);
-            let t = t0.elapsed();
-            let o = want_oracle.then(|| dense_oracle_timed(&pool, &id));
-            (id, t, o)
-        }
-        _ => unreachable!("model_arg validated the name"),
-    };
+    let parts = point.shared_key().task_parts(&values);
+    let t_build = t0.elapsed();
+    let oracle = args.flag("oracle").then(|| match &parts {
+        TaskParts::Viewed(pool, id) => dense_oracle_timed(pool, id),
+        TaskParts::SsViewed(pool, id) => dense_oracle_timed(pool, id),
+    });
+    let id = parts.into_complex();
 
     let t_basis = Instant::now();
     let mut pb = PreparedBoundary::of_id_complex(&id);
@@ -1021,10 +923,10 @@ fn homology_model(args: &Args, model: &str) -> Result<(), ArgError> {
     debug_assert_eq!(betti, betti_warm);
 
     let budget = match model {
-        "byzantine" => format!("t = {t_byz}"),
-        "dynamic" => format!("family = {}", family_opt(args)?.name()),
-        _ => format!("f = {f} (k/round = {kpr})"),
+        "byzantine" | "dynamic" => budget(args, model)?,
+        _ => format!("f = {f} (k/round = {})", k.max(1).min(f.max(1))),
     };
+    let n = args.usize_opt("procs", 3)?;
     println!("{model} protocol complex: {n} processes, {budget}, k = {k}, r = {rounds}");
     println!(
         "  f-vector: {:?}  ({} vertices, {} facets)",

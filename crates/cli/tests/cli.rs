@@ -249,42 +249,68 @@ fn errors_are_reported() {
     assert!(stderr3.contains("unknown model"));
 }
 
+/// The process-count bound every model command shares (ps-core's
+/// subset-enumeration limit).
+const PROCS_BOUND: &str = "the process count must be in 1..=20, got";
+
 #[test]
-fn dynamic_procs_beyond_graph_mask_rejected() {
-    // 9 processes have 72 ordered pairs, more than the 64-bit edge mask
-    // holds; the shifts used to wrap and answer on the wrong complex
-    for cmd in ["solve", "sweep", "complex", "homology"] {
-        let (stdout, stderr, ok) = psph(&[cmd, "dynamic", "--procs", "9"]);
-        assert!(!ok, "{cmd}: {stdout}");
-        assert!(
-            stderr.contains("the dynamic model supports at most 8 processes, got 9"),
-            "{cmd}: {stderr}"
-        );
-        assert!(stdout.is_empty(), "{cmd} printed a verdict: {stdout}");
+fn out_of_range_sizes_rejected() {
+    const ALL: &[&str] = &["solve", "sweep", "conform", "homology", "complex"];
+    let procs = |n| format!("{PROCS_BOUND} {n}");
+    let table: [(&[&str], &[&str], String); 7] = [
+        // 9 processes have 72 ordered pairs, more than the 64-bit edge
+        // mask holds; the shifts used to wrap and answer on the wrong
+        // complex
+        (
+            &["solve", "sweep", "complex", "homology"],
+            &["dynamic", "--procs", "9"],
+            "the dynamic model supports at most 8 processes, got 9".into(),
+        ),
+        // 4294967298 = 2^32 + 2 used to run as --p 2
+        (
+            &["solve", "sweep"],
+            &["semisync", "--p", "4294967298"],
+            "--p expects an integer in 0..=4294967295, got `4294967298`".into(),
+        ),
+        // no processes used to panic in the model constructors
+        (ALL, &["async", "--procs", "0"], procs(0)),
+        // above 20 the subset enumerations panicked
+        (ALL, &["byzantine", "--procs", "21"], procs(21)),
+        // 33 wrapped the u32 input-face masks in release builds and
+        // answered on a 0-vertex complex
+        (ALL, &["async", "--procs", "33"], procs(33)),
+        // k = 0 used to panic (solve), quietly run k = 1 (the grids) or
+        // build a one-value complex (homology)
+        (
+            &["solve", "sweep", "conform", "homology"],
+            &["async", "--k", "0"],
+            "k-set agreement needs k ≥ 1, got 0".into(),
+        ),
+        // no microrounds used to panic in the semi-synchronous model
+        (
+            ALL,
+            &["semisync", "--p", "0"],
+            "the semi-synchronous model needs at least one microround, got 0".into(),
+        ),
+    ];
+    for (cmds, args, expected) in &table {
+        for cmd in *cmds {
+            let argv: Vec<&str> = std::iter::once(*cmd).chain(args.iter().copied()).collect();
+            let (stdout, stderr, ok) = psph(&argv);
+            assert!(!ok, "{argv:?}: {stdout}");
+            assert!(stderr.contains(expected.as_str()), "{argv:?}: {stderr}");
+            assert!(stdout.is_empty(), "{argv:?} printed a verdict: {stdout}");
+        }
     }
 }
 
-#[test]
-fn microrounds_beyond_u32_rejected() {
-    // 4294967298 = 2^32 + 2 used to run as --p 2
-    for cmd in ["solve", "sweep"] {
-        let (stdout, stderr, ok) = psph(&[cmd, "semisync", "--p", "4294967298"]);
-        assert!(!ok, "{cmd}: {stdout}");
-        assert!(
-            stderr.contains("--p expects an integer in 0..=4294967295, got `4294967298`"),
-            "{cmd}: {stderr}"
-        );
-        assert!(stdout.is_empty(), "{cmd} printed a verdict: {stdout}");
-    }
-}
-
-/// Runs `psph serve` on one query and returns its output.
-fn serve_one(name: &str, query: &str) -> String {
+/// Runs `psph serve` on `queries` and returns its output.
+fn serve_one(name: &str, queries: &str) -> String {
     let dir = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let input = dir.join("queries.txt");
-    std::fs::write(&input, query).unwrap();
+    std::fs::write(&input, queries).unwrap();
     let (out, _, ok) = psph(&["serve", "--input", input.to_str().unwrap()]);
     assert!(ok, "{out}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -292,28 +318,48 @@ fn serve_one(name: &str, query: &str) -> String {
 }
 
 #[test]
-fn serve_rejects_dynamic_procs_beyond_graph_mask() {
-    let out = serve_one("psph-cli-serve-dynamic-9", "dynamic 1 9 1 rooted\n");
+fn serve_rejects_out_of_range_queries() {
+    let table = [
+        (
+            "dynamic 1 9 1 rooted",
+            "the dynamic model supports at most 8 processes".to_string(),
+        ),
+        // used to run as P = 2
+        (
+            "semisync 1 1 3 1 1 4294967298",
+            "P = 4294967298 exceeds 4294967295".into(),
+        ),
+        ("async 1 0 0 1", format!("{PROCS_BOUND} 0")),
+        ("byzantine 1 1 21 1", format!("{PROCS_BOUND} 21")),
+        ("async 1 0 33 1", format!("{PROCS_BOUND} 33")),
+        ("async 0 1 3 1", "k-set agreement needs k ≥ 1, got 0".into()),
+        (
+            "semisync 1 1 3 1 1 0",
+            "the semi-synchronous model needs at least one microround, got 0".into(),
+        ),
+    ];
+    for (query, expected) in &table {
+        let out = serve_one("psph-cli-serve-reject", &format!("{query}\n"));
+        assert!(
+            out.contains(&format!("parse error (line skipped): {expected}")),
+            "{query}: {out}"
+        );
+        assert!(
+            !out.contains("source="),
+            "{query}: no verdict expected: {out}"
+        );
+        assert!(out.contains("serve session: 0 queries"), "{query}: {out}");
+    }
+    // a rejected line costs the session nothing: the next one is answered
+    let mut queries: String = table.iter().map(|(q, _)| format!("{q}\n")).collect();
+    queries.push_str("async 1 1 3 1\n");
+    let out = serve_one("psph-cli-serve-reject-then-answer", &queries);
+    assert_eq!(out.matches("parse error").count(), table.len(), "{out}");
     assert!(
-        out.contains("parse error (line skipped): the dynamic model supports at most 8 processes"),
+        out.contains("async k=1 f=1 n=3 r=1: NO decision map"),
         "{out}"
     );
-    assert!(!out.contains("n=9"), "no verdict expected: {out}");
-    assert!(out.contains("serve session: 0 queries"), "{out}");
-}
-
-#[test]
-fn serve_rejects_microrounds_beyond_u32() {
-    let out = serve_one(
-        "psph-cli-serve-semisync-p",
-        "semisync 1 1 3 1 1 4294967298\n",
-    );
-    assert!(
-        out.contains("parse error (line skipped): P = 4294967298 exceeds 4294967295"),
-        "{out}"
-    );
-    assert!(!out.contains("p=2"), "no verdict expected: {out}");
-    assert!(out.contains("serve session: 0 queries"), "{out}");
+    assert!(out.contains("serve session: 1 queries"), "{out}");
 }
 
 #[test]

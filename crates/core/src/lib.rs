@@ -39,7 +39,7 @@
 mod process;
 pub use process::{
     process_set, process_simplex, subsets_of_min_size, subsets_up_to_size, subsets_up_to_size_lex,
-    ProcessId,
+    ProcessId, MAX_SUBSET_BASE,
 };
 
 mod pseudosphere;

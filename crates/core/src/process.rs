@@ -46,22 +46,25 @@ pub fn process_set(count: usize) -> BTreeSet<ProcessId> {
     (0..count as u32).map(ProcessId).collect()
 }
 
+/// The largest base set the subset enumerators accept: their output is
+/// exponential, and larger calls indicate a misuse.
+pub const MAX_SUBSET_BASE: usize = 20;
+
 /// All subsets of `base` with size at least `min_size` — the paper's
 /// `2^U_{≥ min_size}` notation (Lemma 11 labels async views with
 /// `2^{P - {P_i}}_{≥ n - f}`).
 ///
 /// # Panics
 ///
-/// Panics if `base` has more than 20 elements (the enumeration is
-/// exponential and such calls indicate a misuse).
+/// Panics if `base` has more than [`MAX_SUBSET_BASE`] elements.
 pub fn subsets_of_min_size<T: Clone + Ord>(
     base: &BTreeSet<T>,
     min_size: usize,
 ) -> Vec<BTreeSet<T>> {
     let items: Vec<&T> = base.iter().collect();
     assert!(
-        items.len() <= 20,
-        "subset enumeration limited to ≤ 20 elements"
+        items.len() <= MAX_SUBSET_BASE,
+        "subset enumeration limited to ≤ {MAX_SUBSET_BASE} elements"
     );
     let mut out = Vec::new();
     for mask in 0u32..(1 << items.len()) {
@@ -87,8 +90,8 @@ pub fn subsets_of_min_size<T: Clone + Ord>(
 pub fn subsets_up_to_size<T: Clone + Ord>(base: &BTreeSet<T>, max_size: usize) -> Vec<BTreeSet<T>> {
     let items: Vec<&T> = base.iter().collect();
     assert!(
-        items.len() <= 20,
-        "subset enumeration limited to ≤ 20 elements"
+        items.len() <= MAX_SUBSET_BASE,
+        "subset enumeration limited to ≤ {MAX_SUBSET_BASE} elements"
     );
     let mut out = Vec::new();
     for mask in 0u32..(1 << items.len()) {

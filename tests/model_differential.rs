@@ -7,8 +7,7 @@
 
 use proptest::prelude::*;
 use pseudosphere::agreement::{
-    byzantine_solvable_opts, dynamic_solvable_opts, solvability_sweep, solvability_sweep_shared,
-    SweepOptions, SweepPoint,
+    solvability_sweep, solvability_sweep_shared, SweepOptions, SweepPoint,
 };
 use pseudosphere::models::{input_simplex, ByzantineModel, DynamicModel, GraphFamily};
 use pseudosphere::runtime::{enumerate_byzantine_views, enumerate_dynamic_views};
@@ -61,23 +60,6 @@ proptest! {
     }
 
     #[test]
-    fn shared_and_independent_sweeps_agree_on_new_models(
-        k in 1usize..=2,
-        t in 0usize..=1,
-        rooted in 0u8..2,
-    ) {
-        let points = vec![
-            SweepPoint::Byzantine { k, t, n_plus_1: 3, rounds: 1 },
-            SweepPoint::Dynamic { k, n_plus_1: 2, family: family_of(rooted == 1), rounds: 1 },
-        ];
-        let independent = solvability_sweep(&points, 1);
-        let shared = solvability_sweep_shared(&points, 2);
-        for (i, (s, c)) in shared.iter().zip(&independent).enumerate() {
-            prop_assert_eq!(s.solvable, c.solvable, "point {}: {:?}", i, points[i]);
-        }
-    }
-
-    #[test]
     fn symmetry_toggle_preserves_new_model_verdicts(
         k in 1usize..=2,
         t in 0usize..=1,
@@ -89,14 +71,56 @@ proptest! {
         let byz_rounds = rounds.min(1);
         let on = SweepOptions { symmetry: true, ..SweepOptions::default() };
         let off = SweepOptions { symmetry: false, ..SweepOptions::default() };
-        prop_assert_eq!(
-            byzantine_solvable_opts(k, t, 3, byz_rounds, on),
-            byzantine_solvable_opts(k, t, 3, byz_rounds, off),
-        );
+        let byzantine = SweepPoint::Byzantine { k, t, n_plus_1: 3, rounds: byz_rounds };
+        prop_assert_eq!(byzantine.run_opts(on), byzantine.run_opts(off));
         let family = family_of(rooted == 1);
-        prop_assert_eq!(
-            dynamic_solvable_opts(k, 2, family, rounds, on),
-            dynamic_solvable_opts(k, 2, family, rounds, off),
-        );
+        let dynamic = SweepPoint::Dynamic { k, n_plus_1: 2, family, rounds };
+        prop_assert_eq!(dynamic.run_opts(on), dynamic.run_opts(off));
     }
+}
+
+/// The shared sweep runs a key's group on the domain `{0, …, k_max}`
+/// of its largest `k`, so its smaller `k` are posed over a wider domain
+/// than their canonical `{0, …, k}`. For the crash models the verdict
+/// provably does not depend on the domain size; for these two models
+/// this grid is the evidence: every `k` of a key goes into one call, so
+/// the widening actually runs.
+#[test]
+fn shared_and_independent_sweeps_agree_on_new_models() {
+    let mut points = Vec::new();
+    for t in 0..=1 {
+        for k in 1..=2 {
+            points.push(SweepPoint::Byzantine {
+                k,
+                t,
+                n_plus_1: 3,
+                rounds: 1,
+            });
+        }
+    }
+    for family in [GraphFamily::Rooted, GraphFamily::StronglyConnected] {
+        for (n_plus_1, r_max, k_max) in [(2, 2, 3), (3, 1, 2)] {
+            for rounds in 1..=r_max {
+                for k in 1..=k_max {
+                    points.push(SweepPoint::Dynamic {
+                        k,
+                        n_plus_1,
+                        family,
+                        rounds,
+                    });
+                }
+            }
+        }
+    }
+    assert_eq!(points.len(), 20);
+    let independent = solvability_sweep(&points, 1);
+    let shared = solvability_sweep_shared(&points, 2);
+    for (i, (s, c)) in shared.iter().zip(&independent).enumerate() {
+        assert_eq!(s.solvable, c.solvable, "point {i}: {:?}", points[i]);
+    }
+    // the widened groups really searched larger complexes
+    assert!(shared
+        .iter()
+        .zip(&independent)
+        .any(|(s, c)| s.vertices > c.vertices));
 }

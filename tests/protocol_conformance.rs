@@ -17,7 +17,7 @@
 use std::collections::BTreeSet;
 
 use pseudosphere::agreement::{
-    async_solvable_opts, conformance_check, stretch_experiment, sync_solvable_opts, ConformConfig,
+    async_solvable, conformance_check, stretch_experiment, sync_solvable, ConformConfig,
     KSetAgreement, PointOutcome, SweepOptions, SweepPoint, TimedFloodSet, WitnessSchedule,
 };
 use pseudosphere::core::{subsets_of_min_size, ProcessId};
@@ -67,7 +67,7 @@ fn sync_n3_full_adversary_tree_matches_verdicts() {
     let everyone: BTreeSet<ProcessId> = (0..3).map(ProcessId).collect();
     for k in 1..=2usize {
         for rounds in 1..=2usize {
-            let verdict = sync_solvable_opts(k, 1, 3, 1, rounds, SweepOptions::default());
+            let verdict = sync_solvable(k, 1, 3, 1, rounds);
             let task = KSetAgreement::canonical(k);
             let schedules = sync_crash_schedules(3, 1, 1, rounds, usize::MAX)
                 .expect("space is finite and small");
@@ -111,7 +111,7 @@ fn sync_n3_full_adversary_tree_matches_verdicts() {
 fn async_n3_complete_heard_space_matches_verdicts() {
     let all: BTreeSet<ProcessId> = (0..3).map(ProcessId).collect();
     for k in 1..=2usize {
-        let verdict = async_solvable_opts(k, 1, 3, 1, SweepOptions::default());
+        let verdict = async_solvable(k, 1, 3, 1);
         assert_eq!(verdict.solvable, k > 1, "Corollary 13 at n=3, f=1");
         let task = KSetAgreement::canonical(k);
         let mut violated = false;
