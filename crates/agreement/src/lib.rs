@@ -1,19 +1,17 @@
 //! # ps-agreement: tasks, protocols, and the impossibility solver
 //!
 //! The task layer of the reproduction: k-set agreement and consensus
-//! (§4), protocols matching the paper's upper bounds, and the exhaustive
-//! decision-map solver that turns the paper's impossibility theorems
-//! (Theorem 9, Corollaries 10/13, Theorem 18, Corollary 22) into
-//! machine-checked statements about concrete instances.
+//! (§4) and the exhaustive decision-map solver that turns the paper's
+//! impossibility theorems (Theorem 9, Corollaries 10/13, Theorem 18,
+//! Corollary 22) into machine-checked statements about concrete
+//! instances (the upper-bound flooding protocols live in ps-protocols).
 //!
 //! * [`KSetAgreement`] — the task;
 //! * [`DecisionMapSolver`] — complete backtracking search for decision
 //!   maps on protocol complexes (no map found ⇒ instance-level
 //!   impossibility proof);
-//! * [`FloodSet`] — synchronous k-set agreement in `⌊f/k⌋ + 1` rounds
-//!   (Theorem 18's matching upper bound);
-//! * [`TimedFloodSet`] + [`stretch_experiment`] — the Corollary 22
-//!   semi-synchronous timing experiment;
+//! * [`stretch_experiment`] — the Corollary 22 semi-synchronous timing
+//!   experiment, run on ps-protocols' `TimedKSetFlood`;
 //! * [`WaitForAll`] / [`OwnValue`] — the asynchronous positive side;
 //! * [`experiments`] — task-complex builders and solver sweeps used by
 //!   the benchmark harness and EXPERIMENTS.md;
@@ -36,14 +34,8 @@ pub use solver::{
     AgreementConstraint, DecisionMapSolver, PreparedInstance, SolverConfig, SolverStats,
 };
 
-mod floodset;
-pub use floodset::{FloodSet, FloodSetState};
-
-mod early;
-pub use early::{EarlyFloodSet, EarlyFloodSetState};
-
 mod timed;
-pub use timed::{stretch_experiment, StretchOutcome, TimedFloodSet, TimedFloodSetState};
+pub use timed::{stretch_experiment, stretch_trace, StretchOutcome};
 
 mod asynchronous;
 pub use asynchronous::{OwnValue, WaitForAll};

@@ -1,92 +1,18 @@
-//! Timed (semi-synchronous) k-set agreement and the Corollary 22
-//! stretch experiment.
+//! The Corollary 22 stretch experiment.
 //!
-//! [`TimedFloodSet`] is a step-counted FloodSet: rounds of
-//! `p = ⌈d/c1⌉` steps (so a round spans at least `d` real time), values
-//! flooded each round, decision after `R = ⌊f/k⌋ + 1` rounds. Its
-//! worst-case decision time under the paper's *stretch adversary* (crash
-//! all but one process, run the survivor at `c2`) is measured by
-//! [`stretch_experiment`] and compared against the Corollary 22 lower
-//! bound `⌊f/k⌋·d + C·d`.
-
-use std::collections::BTreeSet;
+//! Runs ps-protocols' [`TimedKSetFlood`] — step-counted flooding in
+//! rounds of `p = ⌈d/c1⌉` steps (so a round spans at least `d` real
+//! time), deciding after `R = ⌊f/k⌋ + 1` rounds — under the paper's
+//! *stretch adversary* (crash all but one process, run the survivor at
+//! `c2`). [`stretch_experiment`] compares the survivor's decision time
+//! against the Corollary 22 lower bound `⌊f/k⌋·d + C·d`.
 
 use ps_core::ProcessId;
+use ps_protocols::TimedKSetFlood;
 use ps_runtime::{
-    run_policy, Lockstep, PolicyRun, SemisyncPolicy, StretchAdversary, TimedParams, TimedProtocol,
+    run_policy, Lockstep, PolicyRun, SemisyncPolicy, StretchAdversary, TimedAdversary, TimedParams,
     TimedTrace,
 };
-
-/// State of [`TimedFloodSet`].
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimedFloodSetState {
-    known: BTreeSet<u64>,
-    steps_per_round: u64,
-}
-
-/// Step-counted FloodSet for the semi-synchronous model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimedFloodSet {
-    /// Rounds before deciding (`⌊f/k⌋ + 1` for the optimal instance).
-    pub rounds: u64,
-}
-
-impl TimedFloodSet {
-    /// With explicit rounds.
-    pub fn new(rounds: u64) -> Self {
-        assert!(rounds >= 1, "need at least one round");
-        TimedFloodSet { rounds }
-    }
-
-    /// The `⌊f/k⌋ + 1`-round instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` (see [`crate::FloodSet::optimal`]).
-    pub fn optimal(f: usize, k: usize) -> Self {
-        assert!(k >= 1, "k-set agreement needs k ≥ 1");
-        Self::new((f / k + 1) as u64)
-    }
-}
-
-impl TimedProtocol for TimedFloodSet {
-    type Input = u64;
-    type State = TimedFloodSetState;
-    type Msg = BTreeSet<u64>;
-    type Output = u64;
-
-    fn init(
-        &self,
-        _me: ProcessId,
-        _n_plus_1: usize,
-        input: u64,
-        params: &TimedParams,
-    ) -> TimedFloodSetState {
-        TimedFloodSetState {
-            known: [input].into_iter().collect(),
-            steps_per_round: params.microrounds(),
-        }
-    }
-
-    fn on_step(
-        &self,
-        mut state: TimedFloodSetState,
-        _now: u64,
-        step: u64,
-        inbox: &[(ProcessId, BTreeSet<u64>)],
-    ) -> (TimedFloodSetState, Option<BTreeSet<u64>>, Option<u64>) {
-        for (_, vals) in inbox {
-            state.known.extend(vals.iter().copied());
-        }
-        let p = state.steps_per_round;
-        // broadcast at the first step of each round
-        let broadcast = step.is_multiple_of(p).then(|| state.known.clone());
-        // decide once R rounds of p steps have completed (count this step)
-        let decide =
-            (step + 1 >= self.rounds * p).then(|| *state.known.first().expect("own input known"));
-        (state, broadcast, decide)
-    }
-}
 
 /// Result of one stretch-adversary run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -106,40 +32,52 @@ impl StretchOutcome {
     }
 }
 
-/// Runs the Corollary 22 experiment: `n_plus_1` processes, wait-free
-/// budget `f = n`, agreement parameter `k`; measures the survivor's
-/// decision time under [`StretchAdversary`] and the failure-free time
-/// under [`Lockstep`]. Both runs drive the unified scheduler directly
-/// ([`run_policy`] under [`SemisyncPolicy`]).
-pub fn stretch_experiment(n_plus_1: usize, k: usize, params: TimedParams) -> StretchOutcome {
-    let f = n_plus_1 - 1;
-    let proto = TimedFloodSet::optimal(f, k);
+/// One run of the Corollary 22 instance: `n_plus_1` processes with
+/// inputs `0..n_plus_1` run [`TimedKSetFlood::optimal`] at wait-free
+/// budget `f = n` under `adversary`, on the unified scheduler
+/// ([`run_policy`] under [`SemisyncPolicy`]), with the full event log.
+fn corollary22_run(
+    n_plus_1: usize,
+    k: usize,
+    params: TimedParams,
+    adversary: &mut dyn TimedAdversary,
+) -> TimedTrace<u64> {
+    let proto = TimedKSetFlood::optimal(n_plus_1 - 1, k);
     let inputs: Vec<u64> = (0..n_plus_1 as u64).collect();
-
-    let horizon = params.c2 * params.microrounds() * (proto.rounds + 2) * 4 + 16;
     let run = PolicyRun {
-        max_time: horizon,
+        max_time: params.c2 * params.microrounds() * (proto.rounds + 2) * 4 + 16,
         ..PolicyRun::default()
     };
+    let mut policy = SemisyncPolicy::new(adversary, params);
+    run_policy(&proto, n_plus_1, &inputs, &mut policy, run)
+}
+
+/// The stretched run of the Corollary 22 instance: every process but
+/// `P0` crashes at time 0 and the survivor steps at `c2`
+/// ([`StretchAdversary`]).
+pub fn stretch_trace(n_plus_1: usize, k: usize, params: TimedParams) -> TimedTrace<u64> {
     let mut stretch = StretchAdversary {
         survivor: ProcessId(0),
         crash_at: 0,
     };
-    let mut policy = SemisyncPolicy::new(&mut stretch, params);
-    let trace: TimedTrace<u64> = run_policy(&proto, n_plus_1, &inputs, &mut policy, run);
-    let decision_time = trace
+    corollary22_run(n_plus_1, k, params, &mut stretch)
+}
+
+/// Runs the Corollary 22 experiment: `n_plus_1` processes, wait-free
+/// budget `f = n`, agreement parameter `k`; measures the survivor's
+/// decision time in [`stretch_trace`] and the failure-free time under
+/// [`Lockstep`].
+pub fn stretch_experiment(n_plus_1: usize, k: usize, params: TimedParams) -> StretchOutcome {
+    let decision_time = stretch_trace(n_plus_1, k, params)
         .decision(ProcessId(0))
         .expect("survivor must decide (wait-free)")
         .0;
-
-    let mut lockstep = Lockstep;
-    let mut policy = SemisyncPolicy::new(&mut lockstep, params);
-    let free = run_policy(&proto, n_plus_1, &inputs, &mut policy, run);
-    let failure_free_time = free.last_decision_time().expect("all decide");
-
+    let failure_free_time = corollary22_run(n_plus_1, k, params, &mut Lockstep)
+        .last_decision_time()
+        .expect("all decide");
     StretchOutcome {
         decision_time,
-        bound: params.corollary22_bound(f, k),
+        bound: params.corollary22_bound(n_plus_1 - 1, k),
         failure_free_time,
     }
 }
@@ -147,35 +85,6 @@ pub fn stretch_experiment(n_plus_1: usize, k: usize, params: TimedParams) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps_runtime::TimedExecutor;
-
-    #[test]
-    fn lockstep_terminates_and_agrees() {
-        let params = TimedParams::new(1, 1, 4);
-        let proto = TimedFloodSet::optimal(2, 1); // 3 rounds
-        let exec = TimedExecutor::new(proto, 3, params);
-        let trace = exec.run(&[4, 2, 9], &mut Lockstep, 10_000);
-        assert_eq!(trace.decisions().len(), 3);
-        assert_eq!(trace.decision_values().len(), 1);
-        assert_eq!(trace.decision_values().first(), Some(&2));
-    }
-
-    #[test]
-    #[should_panic(expected = "k ≥ 1")]
-    fn optimal_rejects_zero_k() {
-        let _ = TimedFloodSet::optimal(2, 0);
-    }
-
-    #[test]
-    fn round_length_spans_d() {
-        // c1 = 3, d = 8 => p = 3 steps per round; steps at 3,6,9 =>
-        // round 1 completes at 9 ≥ d = 8.
-        let params = TimedParams::new(3, 3, 8);
-        let proto = TimedFloodSet::new(1);
-        let exec = TimedExecutor::new(proto, 2, params);
-        let trace = exec.run(&[1, 0], &mut Lockstep, 1000);
-        assert_eq!(trace.decision(ProcessId(0)).unwrap().0, 9);
-    }
 
     #[test]
     fn stretch_outcome_respects_corollary22() {
@@ -198,19 +107,5 @@ mod tests {
         let params = TimedParams::new(1, 4, 4);
         let outcome = stretch_experiment(3, 1, params);
         assert!(outcome.decision_time > outcome.failure_free_time);
-    }
-
-    #[test]
-    fn agreement_under_stretch_is_trivial_but_valid() {
-        // lone survivor decides its own value — 1 value ≤ k
-        let params = TimedParams::new(1, 2, 3);
-        let proto = TimedFloodSet::optimal(2, 1);
-        let exec = TimedExecutor::new(proto, 3, params);
-        let mut adv = StretchAdversary {
-            survivor: ProcessId(1),
-            crash_at: 0,
-        };
-        let trace = exec.run(&[7, 3, 9], &mut adv, 10_000);
-        assert_eq!(trace.decision(ProcessId(1)).map(|(_, v)| *v), Some(3));
     }
 }

@@ -1,9 +1,10 @@
 //! E3/E9/E10 benchmarks: synchronous protocol-complex construction
-//! (Figure 3 and its r-round iterations) and the FloodSet protocol.
+//! (Figure 3 and its r-round iterations) and the FloodSet protocol
+//! (`KSetFlood`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ps_agreement::FloodSet;
 use ps_models::{input_simplex, SyncModel};
+use ps_protocols::KSetFlood;
 use ps_runtime::{enumerate_sync_views, NoFailures, RandomAdversary, SyncExecutor};
 use std::hint::black_box;
 
@@ -47,7 +48,7 @@ fn bench_floodset(c: &mut Criterion) {
             BenchmarkId::new("failure_free", n_plus_1),
             &n_plus_1,
             |b, &n| {
-                let proto = FloodSet::optimal(n / 2, 1);
+                let proto = KSetFlood::optimal_sync(n / 2, 1);
                 let exec = SyncExecutor::new(proto, n, n / 2);
                 b.iter(|| black_box(exec.run(&inputs, &mut NoFailures, proto.rounds + 1)))
             },
@@ -56,7 +57,7 @@ fn bench_floodset(c: &mut Criterion) {
             BenchmarkId::new("random_crashes", n_plus_1),
             &n_plus_1,
             |b, &n| {
-                let proto = FloodSet::optimal(n / 2, 1);
+                let proto = KSetFlood::optimal_sync(n / 2, 1);
                 let exec = SyncExecutor::new(proto, n, n / 2);
                 let mut seed = 0u64;
                 b.iter(|| {

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use ps_agreement::{
     conformance_check, solvability_sweep_opts, solvability_sweep_shared_opts,
-    solvability_sweep_shared_store, stretch_experiment, ConformConfig, FloodSet, QueryEngine,
+    solvability_sweep_shared_store, stretch_experiment, stretch_trace, ConformConfig, QueryEngine,
     SweepOptions, SweepPoint, TaskParts, VerdictStore,
 };
 use ps_core::{process_simplex, MvProver, ProcessId, Pseudosphere};
@@ -14,7 +14,7 @@ use ps_models::{
     SyncModel,
 };
 use ps_protocols::{
-    BvConsensus, ChandyLamportObserver, Rounds, TimedKSetFlood, VectorClockObserver,
+    BvConsensus, ChandyLamportObserver, KSetFlood, Rounds, TimedKSetFlood, VectorClockObserver,
 };
 use ps_runtime::{
     traffic_run, traffic_run_protocol, AsyncPolicy, MultiObserver, RandomAdversary,
@@ -1165,12 +1165,34 @@ fn homology_corpus(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
+/// `--procs` (default `procs`) and `--k` of `simulate` and `stretch`,
+/// each at least 1.
+fn procs_and_k(args: &Args, procs: usize) -> Result<(usize, usize), ArgError> {
+    match (args.usize_opt("procs", procs)?, args.usize_opt("k", 1)?) {
+        (0, _) => Err(ArgError("--procs must be at least 1, got 0".into())),
+        (_, 0) => Err(ArgError("k-set agreement needs k ≥ 1, got 0".into())),
+        n_and_k => Ok(n_and_k),
+    }
+}
+
+/// `--c1/--c2/--d` (defaults 1, `c2`, `d`) as checked [`TimedParams`].
+fn timed_params(args: &Args, c2: u64, d: u64) -> Result<TimedParams, ArgError> {
+    let c1 = args.u64_opt("c1", 1)?;
+    let c2 = args.u64_opt("c2", c2)?;
+    let d = args.u64_opt("d", d)?;
+    if c1 == 0 || c2 < c1 || d == 0 {
+        return Err(ArgError(format!(
+            "timing needs 0 < c1 ≤ c2 and d > 0, got c1 = {c1}, c2 = {c2}, d = {d}"
+        )));
+    }
+    Ok(TimedParams::new(c1, c2, d))
+}
+
 fn simulate(args: &Args) -> Result<(), ArgError> {
-    let n = args.usize_opt("procs", 4)?;
+    let (n, k) = procs_and_k(args, 4)?;
     let f = args.usize_opt("f", 1)?;
-    let k = args.usize_opt("k", 1)?;
     let seeds = args.u64_opt("seeds", 100)?;
-    let proto = FloodSet::optimal(f, k);
+    let proto = KSetFlood::optimal_sync(f, k);
     let inputs: Vec<u64> = (0..n as u64).collect();
     println!(
         "FloodSet: {n} processes, f = {f}, k = {k}, rounds = {} ; {seeds} random adversaries",
@@ -1195,24 +1217,11 @@ fn simulate(args: &Args) -> Result<(), ArgError> {
 }
 
 fn stretch(args: &Args) -> Result<(), ArgError> {
-    let n = args.usize_opt("procs", 3)?;
-    let k = args.usize_opt("k", 1)?;
-    let c1 = args.u64_opt("c1", 1)?;
-    let c2 = args.u64_opt("c2", 4)?;
-    let d = args.u64_opt("d", 8)?;
-    let params = TimedParams::new(c1, c2, d);
+    let (n, k) = procs_and_k(args, 3)?;
+    let params = timed_params(args, 4, 8)?;
+    let TimedParams { c1, c2, d } = params;
     if args.flag("timeline") {
-        use ps_agreement::TimedFloodSet;
-        use ps_runtime::{StretchAdversary, TimedExecutor};
-        let proto = TimedFloodSet::optimal(n - 1, k);
-        let exec = TimedExecutor::new(proto, n, params);
-        let inputs: Vec<u64> = (0..n as u64).collect();
-        let mut adv = StretchAdversary {
-            survivor: ps_core::ProcessId(0),
-            crash_at: 0,
-        };
-        let horizon = params.c2 * params.microrounds() * (proto.rounds + 2) * 4 + 16;
-        let trace = exec.run(&inputs, &mut adv, horizon);
+        let trace = stretch_trace(n, k, params);
         let ticks_per_col = (trace.end_time() / 72).max(1);
         println!("stretch execution timeline (. step, @ delivery, D decide, x crash):\n");
         println!("{}", trace.timeline(n, ticks_per_col));
@@ -1258,11 +1267,9 @@ fn traffic(args: &Args) -> Result<(), ArgError> {
             "--crashes must leave at least two processes alive (n = {n})"
         )));
     }
-    let c1 = args.u64_opt("c1", 1)?;
-    let c2 = args.u64_opt("c2", 2)?;
-    let d = args.u64_opt("d", 4)?;
+    let params = timed_params(args, 2, 4)?;
+    let TimedParams { c1, c2, d } = params;
     let horizon = args.u64_opt("horizon", 10_000_000)?;
-    let params = TimedParams::new(c1, c2, d);
     let which = args.str_opt("policy", "semisync");
     let protocol = args.str_opt("protocol", "gossip");
     const PROTOCOLS: [&str; 3] = ["gossip", "floodset", "bv"];

@@ -253,11 +253,14 @@ fn errors_are_reported() {
 /// subset-enumeration limit).
 const PROCS_BOUND: &str = "the process count must be in 1..=20, got";
 
+/// The `--c1/--c2/--d` check `stretch` and `traffic` share.
+const TIMING: &str = "timing needs 0 < c1 ≤ c2 and d > 0, got";
+
 #[test]
 fn out_of_range_sizes_rejected() {
     const ALL: &[&str] = &["solve", "sweep", "conform", "homology", "complex"];
     let procs = |n| format!("{PROCS_BOUND} {n}");
-    let table: [(&[&str], &[&str], String); 7] = [
+    let table: [(&[&str], &[&str], String); 12] = [
         // 9 processes have 72 ordered pairs, more than the 64-bit edge
         // mask holds; the shifts used to wrap and answer on the wrong
         // complex
@@ -291,6 +294,35 @@ fn out_of_range_sizes_rejected() {
             ALL,
             &["semisync", "--p", "0"],
             "the semi-synchronous model needs at least one microround, got 0".into(),
+        ),
+        // no processes used to panic (stretch: `n - 1` wrapped) or
+        // report a clean sweep of an empty system (simulate)
+        (
+            &["stretch", "simulate"],
+            &["--procs", "0"],
+            "--procs must be at least 1, got 0".into(),
+        ),
+        // k = 0 used to panic in the flooding constructors
+        (
+            &["stretch", "simulate"],
+            &["--k", "0"],
+            "k-set agreement needs k ≥ 1, got 0".into(),
+        ),
+        // timing parameters TimedParams::new rejects used to panic
+        (
+            &["stretch", "traffic"],
+            &["--c1", "0", "--c2", "2", "--d", "4"],
+            format!("{TIMING} c1 = 0, c2 = 2, d = 4"),
+        ),
+        (
+            &["stretch", "traffic"],
+            &["--c1", "3", "--c2", "1", "--d", "4"],
+            format!("{TIMING} c1 = 3, c2 = 1, d = 4"),
+        ),
+        (
+            &["stretch", "traffic"],
+            &["--c1", "1", "--c2", "2", "--d", "0"],
+            format!("{TIMING} c1 = 1, c2 = 2, d = 0"),
         ),
     ];
     for (cmds, args, expected) in &table {

@@ -109,9 +109,8 @@ pub struct TimedKSetFloodState {
 
 /// Semi-synchronous k-set flooding: broadcast at the first step of each
 /// `p`-step round, decide the minimum once the round budget has
-/// elapsed. The step/decision schedule matches `ps-agreement`'s
-/// Corollary 22 experiment protocol, which the conformance layer pins
-/// against this one.
+/// elapsed. Its decision time under the stretch adversary is what
+/// `ps-agreement`'s Corollary 22 experiment measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimedKSetFlood {
     /// Rounds before deciding.
@@ -135,8 +134,7 @@ impl TimedKSetFlood {
     ///
     /// Panics if `k == 0`.
     pub fn optimal(f: usize, k: usize) -> Self {
-        assert!(k >= 1, "k-set agreement needs k ≥ 1");
-        Self::new((f / k + 1) as u64)
+        Self::new(KSetFlood::optimal_sync(f, k).rounds as u64)
     }
 }
 
@@ -181,8 +179,8 @@ impl TimedProtocol for TimedKSetFlood {
 mod tests {
     use super::*;
     use ps_runtime::{
-        for_each_sync_execution, AsyncExecutor, FullDelivery, Lockstep, NoFailures, PolicyRun,
-        SemisyncPolicy, SyncExecutor,
+        for_each_sync_execution, AsyncExecutor, FullDelivery, Lockstep, NoFailures, RoundFailures,
+        ScriptedAdversary, StretchAdversary, SyncExecutor, TimedExecutor,
     };
 
     #[test]
@@ -194,6 +192,35 @@ mod tests {
         assert!(trace.satisfies_termination(3));
         assert!(trace.satisfies_k_agreement(1));
         assert_eq!(trace.decision(ProcessId(0)), Some(&3));
+        assert_eq!(trace.decision_round(ProcessId(0)), Some(2));
+    }
+
+    #[test]
+    fn optimal_round_counts_at_the_edges() {
+        // f = 0: one round regardless of k
+        assert_eq!(KSetFlood::optimal_sync(0, 1).rounds, 1);
+        assert_eq!(KSetFlood::optimal_sync(0, 3).rounds, 1);
+        // interior points of the ⌊f/k⌋ + 1 formula
+        assert_eq!(KSetFlood::optimal_sync(5, 2).rounds, 3);
+        assert_eq!(KSetFlood::optimal_sync(6, 2).rounds, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one round")]
+    fn zero_rounds_rejected() {
+        let _ = KSetFlood::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "k ≥ 1")]
+    fn optimal_sync_rejects_zero_k() {
+        let _ = KSetFlood::optimal_sync(3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "k ≥ 1")]
+    fn timed_optimal_rejects_zero_k() {
+        let _ = TimedKSetFlood::optimal(2, 0);
     }
 
     #[test]
@@ -204,6 +231,25 @@ mod tests {
             assert!(t.satisfies_k_agreement(1), "{:?}", t.decisions());
             assert!(t.satisfies_validity(&[4, 1, 9].into_iter().collect()));
         });
+    }
+
+    #[test]
+    fn one_round_insufficient_for_consensus_with_failure() {
+        // an explicit bad execution: with 1 round and 1 crash mid-send,
+        // survivors can decide differently (the Theorem 18 obstruction).
+        // P0 has the minimum; it crashes reaching only P1.
+        let exec = SyncExecutor::new(KSetFlood::new(1), 3, 1);
+        let mut adv = ScriptedAdversary {
+            script: vec![RoundFailures {
+                crashes: [(ProcessId(0), [ProcessId(1)].into_iter().collect())]
+                    .into_iter()
+                    .collect(),
+            }],
+        };
+        let trace = exec.run(&[0, 5, 9], &mut adv, 1);
+        assert_eq!(trace.decision(ProcessId(1)), Some(&0));
+        assert_eq!(trace.decision(ProcessId(2)), Some(&5));
+        assert!(!trace.satisfies_k_agreement(1));
     }
 
     #[test]
@@ -219,18 +265,36 @@ mod tests {
 
     #[test]
     fn timed_matches_round_structure() {
-        let params = TimedParams::new(1, 1, 2);
-        let proto = TimedKSetFlood::optimal(2, 1); // 3 rounds
-        let run = PolicyRun {
-            max_time: 1000,
-            log_events: false,
-            stop_after_messages: None,
-        };
-        let mut lockstep = Lockstep;
-        let mut policy = SemisyncPolicy::new(&mut lockstep, params);
-        let trace = ps_runtime::run_policy(&proto, 3, &[9, 4, 6], &mut policy, run);
-        for p in 0..3 {
-            assert_eq!(trace.decision(ProcessId(p)).map(|(_, v)| *v), Some(4));
+        // d, inputs → under lockstep at c1 = c2 = 1 the 3 rounds of
+        // p = d steps end at `time`, everyone deciding the minimum
+        for (d, inputs, value, time) in [(2, [9, 4, 6], 4, 6), (4, [4, 2, 9], 2, 12)] {
+            let params = TimedParams::new(1, 1, d);
+            let exec = TimedExecutor::new(TimedKSetFlood::optimal(2, 1), 3, params);
+            let trace = exec.run(&inputs, &mut Lockstep, 1000);
+            assert_eq!(trace.decisions().len(), 3, "d={d}");
+            assert_eq!(trace.decision_values(), [value].into_iter().collect());
+            assert_eq!(trace.last_decision_time(), Some(time), "d={d}");
         }
+    }
+
+    #[test]
+    fn round_length_spans_d() {
+        // c1 = 3, d = 8 => p = 3 steps per round; steps at 3,6,9 =>
+        // round 1 completes at 9 ≥ d = 8.
+        let exec = TimedExecutor::new(TimedKSetFlood::new(1), 2, TimedParams::new(3, 3, 8));
+        let trace = exec.run(&[1, 0], &mut Lockstep, 1000);
+        assert_eq!(trace.decision(ProcessId(0)).unwrap().0, 9);
+    }
+
+    #[test]
+    fn stretch_survivor_decides_its_own_value() {
+        // the lone survivor decides its own value: 1 value ≤ k
+        let exec = TimedExecutor::new(TimedKSetFlood::optimal(2, 1), 3, TimedParams::new(1, 2, 3));
+        let mut adv = StretchAdversary {
+            survivor: ProcessId(1),
+            crash_at: 0,
+        };
+        let trace = exec.run(&[7, 3, 9], &mut adv, 10_000);
+        assert_eq!(trace.decision(ProcessId(1)).map(|(_, v)| *v), Some(3));
     }
 }

@@ -11,6 +11,8 @@
 //!   serving both the synchronous (§7) and asynchronous (§6) round
 //!   structures; [`TimedKSetFlood`] is its semi-synchronous (§8)
 //!   step-counted form.
+//! * [`EarlyFloodSet`] — early-deciding consensus flooding with the
+//!   `f + 1`-round [`KSetFlood`] budget as fallback.
 //! * [`BvConsensus`] — a BV-broadcast-style safe binary consensus:
 //!   EST/AUX phases, singleton-adoption, unanimity decision. Crash-safe
 //!   synchronously for any `f`; asynchronously safe under the classical
@@ -34,6 +36,9 @@ pub use ps_runtime::{RoundProtocol, SchedObserver, TimedProtocol};
 
 pub mod kset;
 pub use kset::{KSetFlood, KSetFloodState, TimedKSetFlood, TimedKSetFloodState};
+
+pub mod early;
+pub use early::{EarlyFloodSet, EarlyFloodSetState};
 
 pub mod bv;
 pub use bv::{BvConsensus, BvMsg, BvPhase, BvState};

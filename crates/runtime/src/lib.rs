@@ -7,8 +7,9 @@
 //!
 //! Two roles:
 //!
-//! 1. **Run protocols** (`ps-agreement`'s FloodSet, timeout agreement,
-//!    ...) under benign, scripted, random, and worst-case adversaries.
+//! 1. **Run protocols** (`ps-protocols`' k-set flooding and BV
+//!    consensus, `ps-agreement`'s asynchronous protocols, ...) under
+//!    benign, scripted, random, and worst-case adversaries.
 //! 2. **Regenerate protocol complexes from executions**: the exhaustive
 //!    enumerators walk every adversary choice of the paper's
 //!    round-structured execution subsets and collect reachable

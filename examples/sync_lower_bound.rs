@@ -2,18 +2,19 @@
 //!
 //! Two independent methods per row:
 //!  * solver — exhaustive decision-map search on S^r (lower bound side);
-//!  * FloodSet — the matching protocol simulated against randomized
-//!    crash adversaries (upper bound side).
+//!  * FloodSet (`KSetFlood`) — the matching protocol simulated against
+//!    randomized crash adversaries (upper bound side).
 //!
 //! ```bash
 //! cargo run --release --example sync_lower_bound
 //! ```
 
-use pseudosphere::agreement::{sync_solvable, FloodSet};
+use pseudosphere::agreement::sync_solvable;
+use pseudosphere::protocols::KSetFlood;
 use pseudosphere::runtime::{RandomAdversary, SyncExecutor};
 
 fn floodset_agrees(n_plus_1: usize, f: usize, k: usize, rounds: usize, seeds: u64) -> bool {
-    let proto = FloodSet::new(rounds);
+    let proto = KSetFlood::new(rounds);
     (0..seeds).all(|seed| {
         let exec = SyncExecutor::new(proto, n_plus_1, f);
         let mut adv = RandomAdversary::new(seed, f, 0.7);

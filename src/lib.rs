@@ -18,12 +18,13 @@
 //!   simulator whose exhaustively enumerated executions regenerate those
 //!   complexes;
 //! * [`protocols`] — executable round-based protocols (per-model k-set
-//!   flooding, BV-style binary consensus) plus vector-clock and
-//!   snapshot observers for the scheduler;
-//! * [`agreement`] — decision tasks, protocols (FloodSet, timeout-based
-//!   semi-synchronous agreement), the exhaustive decision-map solver
-//!   used for the impossibility experiments, and the verdict-conformance
-//!   harness that runs protocols against sweep verdicts.
+//!   flooding, early-deciding consensus flooding, BV-style binary
+//!   consensus) plus vector-clock and snapshot observers for the
+//!   scheduler;
+//! * [`agreement`] — decision tasks, the Corollary 22 stretch
+//!   experiment, the exhaustive decision-map solver used for the
+//!   impossibility experiments, and the verdict-conformance harness
+//!   that runs protocols against sweep verdicts.
 //!
 //! # Quickstart
 //!

@@ -28,7 +28,13 @@ use rand::{Rng, SeedableRng};
 
 #[test]
 fn random_sync_crashes_keep_flooding_invariants() {
-    for (n_plus_1, f, k) in [(5usize, 2usize, 1usize), (6, 3, 2), (7, 4, 2)] {
+    for (n_plus_1, f, k) in [
+        (4usize, 2usize, 1usize),
+        (4, 2, 2),
+        (5, 2, 1),
+        (6, 3, 2),
+        (7, 4, 2),
+    ] {
         let proto = KSetFlood::optimal_sync(f, k);
         let inputs: Vec<u64> = (0..n_plus_1 as u64).map(|v| v % (k as u64 + 1)).collect();
         let input_set: BTreeSet<u64> = inputs.iter().copied().collect();

@@ -1,17 +1,18 @@
-//! Exhaustive protocol verification: FloodSet and EarlyFloodSet run
-//! through *every* §7-structured adversary behavior of small instances.
-//! A passing sweep is an instance-level correctness proof (termination,
-//! validity, agreement), complementing the decision-map experiments.
+//! Exhaustive protocol verification: FloodSet (`KSetFlood`) and
+//! `EarlyFloodSet` run through *every* §7-structured adversary behavior
+//! of small instances. A passing sweep is an instance-level correctness
+//! proof (termination, validity, agreement), complementing the
+//! decision-map experiments.
 
 use std::collections::BTreeSet;
 
-use pseudosphere::agreement::{EarlyFloodSet, FloodSet};
+use pseudosphere::protocols::{EarlyFloodSet, KSetFlood};
 use pseudosphere::runtime::for_each_sync_execution;
 
 #[test]
 fn floodset_consensus_correct_on_every_execution() {
     // n+1 = 3, f = 1, k = 1, rounds = 2 (= ⌊f/k⌋ + 1)
-    let proto = FloodSet::optimal(1, 1);
+    let proto = KSetFlood::optimal_sync(1, 1);
     let inputs = [2u64, 0, 1];
     let input_set: BTreeSet<u64> = inputs.iter().copied().collect();
     let mut count = 0usize;
@@ -30,7 +31,7 @@ fn floodset_consensus_correct_on_every_execution() {
 #[test]
 fn floodset_2set_correct_on_every_execution() {
     // n+1 = 3, f = 2, k = 2, rounds = 2; unrestricted per-round cap
-    let proto = FloodSet::optimal(2, 2);
+    let proto = KSetFlood::optimal_sync(2, 2);
     let inputs = [2u64, 0, 1];
     let input_set: BTreeSet<u64> = inputs.iter().copied().collect();
     for_each_sync_execution(&proto, &inputs, 2, 2, 2, &mut |t| {
@@ -43,7 +44,7 @@ fn floodset_2set_correct_on_every_execution() {
 #[test]
 fn floodset_one_round_short_fails_somewhere() {
     // sanity for the harness: at ⌊f/k⌋ rounds a violation must exist
-    let proto = FloodSet::new(1);
+    let proto = KSetFlood::new(1);
     let inputs = [2u64, 0, 1];
     let mut violations = 0usize;
     for_each_sync_execution(&proto, &inputs, 1, 1, 1, &mut |t| {
