@@ -65,7 +65,7 @@ models: every model-taking subcommand also accepts `--model NAME`
         byzantine: synchronous, ≤ --t Byzantine processes equivocating
         per recipient.  dynamic: reliable processes, per-round directed
         communication graph drawn from --family (rooted | strong).
-global: --threads T  worker threads for homology and sweeps
+global: --threads T  worker threads for sweeps and integral homology
         (default: all cores; PS_THREADS overrides)
         --symmetry on|off  exploit task symmetries: orbit branching in
         the solver and canonical-form dedupe across sweep groups
@@ -944,13 +944,11 @@ fn homology_model(args: &Args, model: &str) -> Result<(), ArgError> {
     println!("  boundary columns assembled: {}", pb.assembled_columns());
     println!("  reduction work: {}", pb.stats());
     println!(
-        "  time: complex {:.3}s, basis {:.3}s, reduce {:.3}s, warm re-query {:.6}s \
-         (threads = {})",
+        "  time: complex {:.3}s, basis {:.3}s, reduce {:.3}s, warm re-query {:.6}s",
         t_build.as_secs_f64(),
         t_basis.as_secs_f64(),
         t_reduce.as_secs_f64(),
-        t_warm.as_secs_f64(),
-        ps_topology::parallel::configured_threads()
+        t_warm.as_secs_f64()
     );
     if let Some((dense, t_dense)) = oracle {
         let verdict = if dense == betti { "agree" } else { "MISMATCH" };
@@ -1020,10 +1018,7 @@ fn homology_corpus(args: &Args) -> Result<(), ArgError> {
     let seed = args.u64_opt("seed", 0xC0FFEE)?;
     let s = |vs: &[u32]| Simplex::from_iter(vs.iter().copied());
 
-    println!(
-        "homology corpus: sparse engine vs dense oracle (threads = {})",
-        ps_topology::parallel::configured_threads()
-    );
+    println!("homology corpus: sparse engine vs dense oracle");
     println!(
         "{:<34} {:>3} {:<22} {:<22} verdict",
         "complex", "dim", "betti (sparse)", "betti (dense)"

@@ -12,7 +12,7 @@
 //! psph simulate [--procs N] [--f F] [--k K] [--seeds S]
 //!
 //! All subcommands accept a global `--threads T` (worker threads for
-//! homology and sweeps; `PS_THREADS` overrides the default).
+//! sweeps and integral homology; `PS_THREADS` overrides the default).
 //! psph stretch [--procs N] [--k K] [--c1 T] [--c2 T] [--d T]
 //! psph traffic [--n N] [--messages M] [--policy sync|semisync|async|all]
 //!              [--seed S] [--crashes C] [--c1 T] [--c2 T] [--d T]

@@ -615,6 +615,26 @@ fn serve_answers_batches_and_reports_metrics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `psph homology` reads no thread count: apart from the wall-clock
+/// `time:` line, its report — Betti numbers, connectivity and every
+/// `reduction work:` counter — is the same at every `--threads`.
+#[test]
+fn homology_output_is_thread_invariant() {
+    let run = |threads: &str| {
+        let args = format!("homology sync --procs 4 --f 2 --k 2 --rounds 2 --threads {threads}");
+        let (stdout, stderr, ok) = psph(&args.split_whitespace().collect::<Vec<_>>());
+        assert!(ok, "{stderr}");
+        stdout
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("time:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let serial = run("1");
+    assert!(serial.contains("reduction work:"), "{serial}");
+    assert_eq!(run("2"), serial);
+}
+
 #[test]
 fn conform_sync_grid_passes_and_witnesses() {
     let (stdout, _, ok) = psph(&[

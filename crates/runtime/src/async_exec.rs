@@ -197,7 +197,6 @@ impl<P: RoundProtocol> AsyncExecutor<P> {
             SchedConfig {
                 max_time: u64::MAX,
                 halt_decided: false,
-                auto_halt_decided: false,
                 log_events: false,
                 stop_after_delivered: None,
             },

@@ -315,31 +315,18 @@ pub struct SchedConfig {
     /// Hard time horizon: the run stops (without processing) at the
     /// first event scheduled past this time.
     pub max_time: u64,
-    /// Whether a decided process's steps are silently skipped (the §4
-    /// "decided processes halt" rule of the timed model). Round facades
-    /// keep stepping decided processes and leave this off.
+    /// Whether decided processes halt (the §4 rule of the timed model):
+    /// a decided process's steps are silently skipped, and the run stops
+    /// as soon as every process is decided or crashed (checked after
+    /// each productive event). Round facades keep stepping decided
+    /// processes and leave this off.
     pub halt_decided: bool,
-    /// Whether to stop as soon as every process is decided or crashed
-    /// (checked after each productive event, as in the timed executor).
-    pub auto_halt_decided: bool,
     /// Whether to keep the full [`TimedEvent`] log. Off for
     /// heavy-traffic runs: invariants are still checked, but the
     /// per-event log (which would be millions of entries) is not kept.
     pub log_events: bool,
     /// Stop once this many messages have been delivered (traffic runs).
     pub stop_after_delivered: Option<u64>,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        SchedConfig {
-            max_time: u64::MAX,
-            halt_decided: true,
-            auto_halt_decided: true,
-            log_events: true,
-            stop_after_delivered: None,
-        }
-    }
 }
 
 /// Aggregate counters of one scheduler run.
@@ -650,7 +637,7 @@ impl<M: Label> Scheduler<M> {
                         break;
                     }
                 }
-                if self.cfg.auto_halt_decided {
+                if self.cfg.halt_decided {
                     let all_done = (0..self.n as u32).map(ProcessId).all(|q| {
                         self.decided[q.index()] || reactor.crash_time(q).is_some_and(|t| t <= now)
                     });
@@ -1034,7 +1021,6 @@ pub fn run_policy_observed<P: TimedProtocol>(
         SchedConfig {
             max_time: run.max_time,
             halt_decided: true,
-            auto_halt_decided: true,
             log_events: run.log_events,
             stop_after_delivered: run.stop_after_messages,
         },

@@ -10,8 +10,6 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::intern::IdSimplex;
 use crate::matrix::{BitMatrix, IntMatrix};
-use crate::parallel;
-use crate::sparse_gf2::SparseGf2Matrix;
 use crate::{Complex, Label, Simplex};
 
 /// The boundary matrices of a simplicial complex, with simplex indexing.
@@ -114,65 +112,6 @@ impl<V: Label> ChainComplex<V> {
         m
     }
 
-    /// The boundary matrix `∂_d` over GF(2) in sparse word-block form —
-    /// the preferred representation for large complexes (see
-    /// [`crate::sparse_gf2`]). Semantics match
-    /// [`ChainComplex::boundary_bit`].
-    pub fn boundary_sparse(&self, d: i32) -> SparseGf2Matrix {
-        if d < 0 || d as usize >= self.basis.len() {
-            return SparseGf2Matrix::zero(
-                self.rank_of_chain_group(d - 1).max(usize::from(d == 0)),
-                0,
-            );
-        }
-        let d = d as usize;
-        let cols = self.basis[d].len();
-        if d == 0 {
-            return SparseGf2Matrix::from_columns(1, vec![vec![0]; cols]);
-        }
-        let rows = self.basis[d - 1].len();
-        let columns = self.id_basis[d]
-            .iter()
-            .map(|s| {
-                s.boundary_faces()
-                    .map(|face| self.id_index_of(d - 1, &face) as u32)
-                    .collect()
-            })
-            .collect();
-        SparseGf2Matrix::from_columns(rows, columns)
-    }
-
-    /// [`ChainComplex::boundary_bit`] with assembly sharded into row
-    /// blocks across up to `threads` threads: each worker walks the full
-    /// column list but writes only the faces whose row index lands in
-    /// its block, and the blocks are restacked in index order — the
-    /// result is byte-identical to the serial assembly.
-    pub fn boundary_bit_par(&self, d: i32, threads: usize) -> BitMatrix {
-        if threads <= 1 || d <= 0 || d as usize >= self.basis.len() {
-            return self.boundary_bit(d);
-        }
-        let d = d as usize;
-        let rows = self.basis[d - 1].len();
-        let cols = self.basis[d].len();
-        let blocks = parallel::row_blocks(rows, threads);
-        if blocks.len() <= 1 {
-            return self.boundary_bit(d as i32);
-        }
-        let parts = parallel::parallel_map(&blocks, threads, |_, range| {
-            let mut m = BitMatrix::zero(range.len(), cols);
-            for (c, s) in self.id_basis[d].iter().enumerate() {
-                for face in s.boundary_faces() {
-                    let r = self.id_index_of(d - 1, &face);
-                    if range.contains(&r) {
-                        m.set(r - range.start, c, true);
-                    }
-                }
-            }
-            m
-        });
-        BitMatrix::stack_rows(cols, parts)
-    }
-
     /// The boundary matrix `∂_d` over ℤ with signs; shape `n_{d-1} × n_d`.
     ///
     /// As with [`ChainComplex::boundary_bit`], `∂_0` is the augmentation.
@@ -198,36 +137,6 @@ impl<V: Label> ChainComplex<V> {
             }
         }
         m
-    }
-
-    /// [`ChainComplex::boundary_int`] with row-block-sharded assembly;
-    /// see [`ChainComplex::boundary_bit_par`]. Byte-identical to the
-    /// serial assembly.
-    pub fn boundary_int_par(&self, d: i32, threads: usize) -> IntMatrix {
-        if threads <= 1 || d <= 0 || d as usize >= self.basis.len() {
-            return self.boundary_int(d);
-        }
-        let d = d as usize;
-        let rows = self.basis[d - 1].len();
-        let cols = self.basis[d].len();
-        let blocks = parallel::row_blocks(rows, threads);
-        if blocks.len() <= 1 {
-            return self.boundary_int(d as i32);
-        }
-        let parts = parallel::parallel_map(&blocks, threads, |_, range| {
-            let mut m = IntMatrix::zero(range.len(), cols);
-            for (c, s) in self.id_basis[d].iter().enumerate() {
-                for (i, face) in s.boundary_faces().enumerate() {
-                    let r = self.id_index_of(d - 1, &face);
-                    if range.contains(&r) {
-                        let sign = if i % 2 == 0 { 1 } else { -1 };
-                        m.set(r - range.start, c, sign);
-                    }
-                }
-            }
-            m
-        });
-        IntMatrix::stack_rows(cols, parts)
     }
 
     /// Checks `∂_{d-1} ∘ ∂_d = 0` over ℤ for every `d` (a structural
@@ -327,26 +236,6 @@ mod tests {
                 for col in 0..bb.cols() {
                     assert_eq!(bb.get(r, col), bi.get(r, col) != 0, "d={d} ({r},{col})");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_assembly_is_byte_identical() {
-        let c = Complex::from_facets([s(&[0, 1, 2]), s(&[1, 2, 3]), s(&[2, 3, 4]), s(&[4, 5])]);
-        let cc = ChainComplex::of(&c);
-        for d in 0..=cc.dim() + 1 {
-            for threads in [1, 2, 3, 7, 64] {
-                assert_eq!(
-                    cc.boundary_bit_par(d, threads),
-                    cc.boundary_bit(d),
-                    "bit d={d} threads={threads}"
-                );
-                assert_eq!(
-                    cc.boundary_int_par(d, threads),
-                    cc.boundary_int(d),
-                    "int d={d} threads={threads}"
-                );
             }
         }
     }

@@ -276,91 +276,42 @@ pub struct ConnectivityAnalyzer {
 }
 
 impl ConnectivityAnalyzer {
-    /// Like [`ConnectivityAnalyzer::new`] but with GF(2) homology only
-    /// (sparse column reduction; no Smith normal form). Sound for
-    /// `k`-connectivity *refutations* up to 2-torsion: by universal
-    /// coefficients, mod-2 Betti numbers dominate integral ones, so
-    /// vanishing mod-2 homology implies vanishing integral Betti numbers
-    /// — only odd torsion can hide (and does not occur in the
-    /// wedge-of-spheres complexes of this crate). Use for complexes with
-    /// thousands of facets where [`ConnectivityAnalyzer::new`] is too
-    /// slow.
-    pub fn mod2<V: Label>(k: &Complex<V>) -> Self {
-        Self::mod2_with_threads(k, crate::parallel::configured_threads())
-    }
-
-    /// [`ConnectivityAnalyzer::mod2`] on up to `threads` threads (with
-    /// `threads > 1` the per-dimension GF(2) reduction jobs run
-    /// concurrently; byte-identical to the serial path, which instead
-    /// reduces lazily bottom-up and stops at the first non-zero Betti
-    /// number).
-    pub fn mod2_with_threads<V: Label>(k: &Complex<V>, threads: usize) -> Self {
-        let mut pb = PreparedBoundary::of_complex(k);
-        Self::mod2_prepared(&mut pb, k, threads)
-    }
-
-    /// [`ConnectivityAnalyzer::mod2_with_threads`] over an existing
-    /// [`PreparedBoundary`] of `k`: assembled columns and reduced
-    /// prefixes cached in `pb` (by earlier connectivity or Betti
-    /// queries) are reused instead of re-reduced, and whatever this call
-    /// reduces stays cached for the next one.
-    ///
-    /// `k` must be the complex `pb` was prepared from; it is only
-    /// consulted for the π₁ / collapsibility certificates, which need
-    /// the face lattice rather than the boundary matrices.
-    pub fn mod2_prepared<V: Label>(
-        pb: &mut PreparedBoundary,
-        k: &Complex<V>,
-        threads: usize,
-    ) -> Self {
-        let homological = pb.homological_connectivity_with_threads(threads);
-        let void = homological == -2;
-        let contractible_cert = if homological == i32::MAX {
-            is_collapsible(k)
-        } else {
-            false
-        };
-        let simply_connected = if homological >= 1 {
-            contractible_cert || pi1_trivial(k) == Pi1::Trivial
-        } else {
-            false
-        };
-        ConnectivityAnalyzer {
-            homological,
-            simply_connected,
-            contractible_cert,
-            void,
-        }
-    }
-
-    /// Analyzes `k`: computes reduced homology, then tries collapsibility
-    /// and the π₁ heuristic. Homology runs on the configured thread
-    /// count; see [`ConnectivityAnalyzer::with_threads`].
+    /// Analyzes `k`: computes reduced integral homology
+    /// ([`Homology::reduced`]), then tries collapsibility and the π₁
+    /// heuristic.
     pub fn new<V: Label>(k: &Complex<V>) -> Self {
-        Self::with_threads(k, crate::parallel::configured_threads())
+        Self::certify(k, Homology::reduced(k).homological_connectivity())
     }
 
-    /// [`ConnectivityAnalyzer::new`] on up to `threads` threads (the
-    /// per-dimension Smith-normal-form jobs run concurrently;
-    /// byte-identical to the serial path).
-    pub fn with_threads<V: Label>(k: &Complex<V>, threads: usize) -> Self {
-        let h = Homology::reduced_with_threads(k, threads);
-        let homological = h.homological_connectivity();
-        let contractible_cert = if homological == i32::MAX {
-            is_collapsible(k)
-        } else {
-            false
-        };
-        let simply_connected = if homological >= 1 {
-            contractible_cert || pi1_trivial(k) == Pi1::Trivial
-        } else {
-            false
-        };
+    /// Like [`ConnectivityAnalyzer::new`] but with GF(2) homology only
+    /// (sparse column reduction through [`PreparedBoundary`], lazily
+    /// bottom-up; no Smith normal form). Sound for `k`-connectivity
+    /// *refutations* up to 2-torsion: by universal coefficients, mod-2
+    /// Betti numbers dominate integral ones, so vanishing mod-2 homology
+    /// implies vanishing integral Betti numbers — only odd torsion can
+    /// hide (and does not occur in the wedge-of-spheres complexes of
+    /// this crate). Use for complexes with thousands of facets where
+    /// [`ConnectivityAnalyzer::new`] is too slow.
+    pub fn mod2<V: Label>(k: &Complex<V>) -> Self {
+        Self::certify(
+            k,
+            PreparedBoundary::of_complex(k).homological_connectivity(),
+        )
+    }
+
+    /// Completes an analysis from the homological connectivity of `k`
+    /// (`-2` exactly when `k` is void): the π₁ / collapsibility
+    /// certificates need the face lattice rather than the boundary
+    /// matrices.
+    fn certify<V: Label>(k: &Complex<V>, homological: i32) -> Self {
+        let contractible_cert = homological == i32::MAX && is_collapsible(k);
+        let simply_connected =
+            homological >= 1 && (contractible_cert || pi1_trivial(k) == Pi1::Trivial);
         ConnectivityAnalyzer {
             homological,
             simply_connected,
             contractible_cert,
-            void: h.is_void(),
+            void: homological == -2,
         }
     }
 

@@ -97,9 +97,9 @@ impl Homology {
 
     /// [`Homology::reduced`] on up to `threads` threads: the
     /// per-dimension Smith-normal-form jobs are independent and run
-    /// concurrently; leftover threads shard each job's boundary-matrix
-    /// assembly by row block. All merges are by dimension index, so the
-    /// result is byte-identical to `threads = 1`.
+    /// concurrently, merged by dimension index, so the result is
+    /// byte-identical to `threads = 1`. This is the one explicit thread
+    /// count of the homology layer; the sparse GF(2) engine takes none.
     pub fn reduced_with_threads<V: Label>(k: &Complex<V>, threads: usize) -> Self {
         let cc = ChainComplex::of(k);
         let dim = cc.dim();
@@ -111,9 +111,8 @@ impl Homology {
         }
         // ranks[d] = rank over Q of ∂_d for d in 0..=dim+1 ; torsion from SNF
         let dims: Vec<i32> = (0..=dim + 1).collect();
-        let assembly_threads = (threads / dims.len()).max(1);
         let snfs = parallel::parallel_map(&dims, threads, |_, &d| {
-            cc.boundary_int_par(d, assembly_threads).smith_normal_form()
+            cc.boundary_int(d).smith_normal_form()
         });
         let rank: Vec<usize> = snfs.iter().map(|s| s.rank()).collect();
         let torsion: Vec<Vec<i128>> = snfs.iter().map(|s| s.torsion()).collect();
@@ -136,24 +135,15 @@ impl Homology {
     /// Computes reduced Betti numbers over GF(2) only (fast path; no
     /// torsion). Index `d` of the result is the reduced `d`-th Betti
     /// number mod 2. Uses the bit-packed low-pivot reduction of
-    /// [`crate::sparse_gf2`] via [`PreparedBoundary`] (with the clearing
-    /// optimization on the serial path), which handles the
-    /// 10^5-facet protocol complexes the dense engine cannot.
-    /// Runs on the configured thread count; see
-    /// [`Homology::betti_mod2_with_threads`].
-    pub fn betti_mod2<V: Label>(k: &Complex<V>) -> Vec<usize> {
-        Self::betti_mod2_with_threads(k, parallel::configured_threads())
-    }
-
-    /// [`Homology::betti_mod2`] on up to `threads` threads: one sparse
-    /// reduction job per dimension, merged by dimension index
-    /// (byte-identical to `threads = 1`).
+    /// [`crate::sparse_gf2`] via [`PreparedBoundary`] (top-down, with
+    /// the clearing optimization), which handles the 10^5-facet
+    /// protocol complexes the dense engine cannot.
     ///
     /// For repeated queries against one complex — sweeps, bounded
     /// connectivity checks — build a [`PreparedBoundary`] instead and
-    /// reuse its cached columns and reductions.
-    pub fn betti_mod2_with_threads<V: Label>(k: &Complex<V>, threads: usize) -> Vec<usize> {
-        PreparedBoundary::of_complex(k).betti_mod2_with_threads(threads)
+    /// reuse its cached reductions.
+    pub fn betti_mod2<V: Label>(k: &Complex<V>) -> Vec<usize> {
+        PreparedBoundary::of_complex(k).betti_mod2()
     }
 
     /// Dense GF(2) oracle for [`Homology::betti_mod2`]: the same Betti
@@ -403,15 +393,9 @@ mod tests {
         }
         let c = Complex::from_facets(facets);
         let serial = Homology::reduced_with_threads(&c, 1);
-        let serial_b2 = Homology::betti_mod2_with_threads(&c, 1);
         for threads in [2, 4, 16] {
             let par = Homology::reduced_with_threads(&c, threads);
             assert_eq!(par.groups(), serial.groups(), "threads = {threads}");
-            assert_eq!(
-                Homology::betti_mod2_with_threads(&c, threads),
-                serial_b2,
-                "threads = {threads}"
-            );
         }
     }
 

@@ -31,27 +31,6 @@ impl BitMatrix {
         }
     }
 
-    /// Stacks row blocks (each with `cols` columns) vertically into one
-    /// matrix. Rows are packed row-major, so this is a plain
-    /// concatenation of the blocks' buffers — the deterministic merge
-    /// step of row-sharded boundary assembly (see [`crate::parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any block's column count differs from `cols`.
-    pub fn stack_rows(cols: usize, blocks: Vec<BitMatrix>) -> Self {
-        let rows = blocks.iter().map(|b| b.rows).sum();
-        let mut out = BitMatrix::zero(rows, cols);
-        let mut offset = 0;
-        for b in blocks {
-            assert_eq!(b.cols, cols, "row blocks must share the column count");
-            debug_assert_eq!(b.words_per_row, out.words_per_row);
-            out.data[offset..offset + b.data.len()].copy_from_slice(&b.data);
-            offset += b.data.len();
-        }
-        out
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -214,24 +193,6 @@ impl IntMatrix {
             }
         }
         m
-    }
-
-    /// Stacks row blocks (each with `cols` columns) vertically into one
-    /// matrix; the integer twin of [`BitMatrix::stack_rows`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any block's column count differs from `cols`.
-    pub fn stack_rows(cols: usize, blocks: Vec<IntMatrix>) -> Self {
-        let rows = blocks.iter().map(|b| b.rows).sum();
-        let mut out = IntMatrix::zero(rows, cols);
-        let mut offset = 0;
-        for b in blocks {
-            assert_eq!(b.cols, cols, "row blocks must share the column count");
-            out.data[offset..offset + b.data.len()].copy_from_slice(&b.data);
-            offset += b.data.len();
-        }
-        out
     }
 
     /// Number of rows.
@@ -444,44 +405,6 @@ mod tests {
         m2.set(0, 0, true);
         m2.set(0, 0, false);
         assert!(m2.is_zero());
-    }
-
-    #[test]
-    fn stack_rows_roundtrip() {
-        // split a 5x70 bit matrix into uneven row blocks and restack
-        let mut m = BitMatrix::zero(5, 70);
-        for (r, c) in [(0, 0), (1, 65), (2, 30), (3, 69), (4, 1)] {
-            m.set(r, c, true);
-        }
-        let blocks = vec![
-            {
-                let mut b = BitMatrix::zero(2, 70);
-                b.set(0, 0, true);
-                b.set(1, 65, true);
-                b
-            },
-            {
-                let mut b = BitMatrix::zero(3, 70);
-                b.set(0, 30, true);
-                b.set(1, 69, true);
-                b.set(2, 1, true);
-                b
-            },
-        ];
-        assert_eq!(BitMatrix::stack_rows(70, blocks), m);
-
-        let i = IntMatrix::from_rows(&[&[1, 2], &[3, 4], &[5, 6]]);
-        let parts = vec![
-            IntMatrix::from_rows(&[&[1, 2]]),
-            IntMatrix::from_rows(&[&[3, 4], &[5, 6]]),
-        ];
-        assert_eq!(IntMatrix::stack_rows(2, parts), i);
-    }
-
-    #[test]
-    #[should_panic(expected = "share the column count")]
-    fn stack_rows_rejects_mismatched_cols() {
-        let _ = BitMatrix::stack_rows(3, vec![BitMatrix::zero(1, 2)]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Deterministic work sharding across OS threads.
 //!
-//! The homology pipeline is embarrassingly parallel once the basis is
-//! interned: per-dimension rank/Smith-normal-form jobs are independent,
-//! and boundary-matrix assembly splits into disjoint row blocks. This
-//! module is the small slice of a thread pool those call sites need,
-//! built on [`std::thread::scope`] (the workspace is offline; no rayon).
+//! Sweeps shard independent grid points and groups, and integral
+//! homology ([`crate::Homology::reduced_with_threads`]) shards its
+//! independent per-dimension Smith-normal-form jobs. This module is the
+//! small slice of a thread pool those call sites need, built on
+//! [`std::thread::scope`] (the workspace is offline; no rayon).
 //!
 //! **Determinism argument.** Parallelism here never reorders work, only
 //! distributes it: each job is identified by its index in the input
@@ -13,8 +13,8 @@
 //! [`parallel_map`] is therefore byte-identical to the serial
 //! `items.iter().map(f)` loop regardless of thread count or OS
 //! scheduling — there are no reductions whose order depends on timing.
-//! Callers shard only *independent* units (dimensions, row blocks, grid
-//! points) and keep every merge a by-index concatenation.
+//! Callers shard only *independent* units (dimensions, grid points,
+//! groups) and keep every merge a by-index concatenation.
 //!
 //! Thread-count resolution (first match wins):
 //!
@@ -23,7 +23,6 @@
 //! 2. the `PS_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// In-process override; `0` means "unset".
@@ -111,27 +110,6 @@ where
         .collect()
 }
 
-/// Splits `0..rows` into at most `blocks` contiguous ranges of
-/// near-equal size (the larger remainders go to the earlier blocks).
-/// Returns no ranges when `rows == 0`.
-pub fn row_blocks(rows: usize, blocks: usize) -> Vec<Range<usize>> {
-    if rows == 0 {
-        return Vec::new();
-    }
-    let blocks = blocks.clamp(1, rows);
-    let base = rows / blocks;
-    let extra = rows % blocks;
-    let mut out = Vec::with_capacity(blocks);
-    let mut start = 0;
-    for b in 0..blocks {
-        let len = base + usize::from(b < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, rows);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,29 +150,6 @@ mod tests {
             (x, acc).0
         });
         assert_eq!(out, items);
-    }
-
-    #[test]
-    fn row_blocks_partition() {
-        for rows in [0usize, 1, 2, 7, 64, 65, 1000] {
-            for blocks in [1usize, 2, 3, 8, 2000] {
-                let ranges = row_blocks(rows, blocks);
-                if rows == 0 {
-                    assert!(ranges.is_empty());
-                    continue;
-                }
-                assert!(ranges.len() <= blocks.max(1));
-                assert_eq!(ranges.first().unwrap().start, 0);
-                assert_eq!(ranges.last().unwrap().end, rows);
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].end, w[1].start);
-                }
-                // near-equal sizes: max - min <= 1
-                let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(hi - lo <= 1, "rows={rows} blocks={blocks} {sizes:?}");
-            }
-        }
     }
 
     #[test]

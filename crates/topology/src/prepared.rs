@@ -1,31 +1,34 @@
-//! Incremental homology over a fixed complex: assembled boundary
-//! columns and reduced prefixes, cached across queries.
+//! Incremental homology over a fixed complex: reduced boundary
+//! prefixes, cached across queries.
 //!
 //! [`PreparedBoundary`] is the chain-level analogue of `ps-agreement`'s
-//! `PreparedInstance`: one interning / basis-enumeration / column
-//! assembly pass over a (usually huge, shared) [`IdComplex`], after
-//! which every Betti / connectivity query pays only for the reductions
-//! it has not already performed. A `k`-sweep over one protocol complex
-//! asks "is it `(k−1)`-connected?" for many `k`; the first query reduces
-//! boundaries `∂_0 .. ∂_q`, and each later query extends that *reduced
-//! prefix* upward instead of starting over.
+//! `PreparedInstance`: one interning / basis-enumeration pass over a
+//! (usually huge, shared) [`IdComplex`], after which every Betti /
+//! connectivity query pays only for the reductions it has not already
+//! performed. A `k`-sweep over one protocol complex asks "is it
+//! `(k−1)`-connected?" for many `k`; the first query reduces boundaries
+//! `∂_0 .. ∂_q`, and each later query extends that *reduced prefix*
+//! upward instead of starting over. Each `∂_d` is assembled once, right
+//! before its reduction, and dropped after it: only the reductions are
+//! kept.
 //!
-//! Caching across strategies is sound because everything cached is
-//! canonical: GF(2) ranks are basis-order-independent integers, and
-//! pivot lows are invariant under the clearing optimization (see
-//! [`crate::sparse_gf2`]). The serial full-Betti path reduces top-down
-//! with clearing; the threaded path reduces dimensions as independent
-//! jobs; lazy connectivity queries reduce bottom-up — any mix of the
-//! three leaves the same numbers in the cache.
+//! Every query has one reduction order: [`PreparedBoundary::betti_mod2`]
+//! reduces top-down with clearing, while
+//! [`PreparedBoundary::homological_connectivity`] and
+//! [`PreparedBoundary::is_q_connected`] reduce lazily bottom-up. Mixing
+//! them on one cache is sound because everything cached is canonical:
+//! GF(2) ranks are basis-order-independent integers, and pivot lows are
+//! invariant under the clearing optimization (see [`crate::sparse_gf2`]).
+//! No query reads the thread count, so results and work counters are
+//! the same at every thread count.
 
 use std::collections::HashMap;
 
 use crate::intern::{IdComplex, IdSimplex};
-use crate::parallel;
 use crate::sparse_gf2::{Reduction, ReductionStats, SparseGf2Matrix};
 use crate::{Complex, Label};
 
-/// Cached boundary matrices and reductions of one simplicial complex.
+/// Cached reductions of the boundary matrices of one simplicial complex.
 ///
 /// # Examples
 ///
@@ -41,11 +44,6 @@ use crate::{Complex, Label};
 pub struct PreparedBoundary {
     /// `basis[d]` = the `d`-simplexes in lexicographic (id) order.
     basis: Vec<Vec<IdSimplex>>,
-    /// Lazy row-index maps: `index[d]` maps a `d`-simplex to its
-    /// position in `basis[d]`.
-    index: Vec<Option<HashMap<IdSimplex, u32>>>,
-    /// Lazy assembled `∂_d` (`d = 0` is the augmentation row).
-    boundaries: Vec<Option<SparseGf2Matrix>>,
     /// Cached reductions of `∂_d`.
     reductions: Vec<Option<Reduction>>,
     /// Columns assembled so far (work counter).
@@ -57,12 +55,10 @@ impl PreparedBoundary {
     /// enumeration happens here; columns are assembled lazily).
     pub fn of_id_complex(k: &IdComplex) -> Self {
         let basis = k.all_simplices();
-        let n = basis.len();
+        let reductions = (0..basis.len()).map(|_| None).collect();
         PreparedBoundary {
             basis,
-            index: (0..n).map(|_| None).collect(),
-            boundaries: (0..n).map(|_| None).collect(),
-            reductions: (0..n).map(|_| None).collect(),
+            reductions,
             assembled_columns: 0,
         }
     }
@@ -117,59 +113,44 @@ impl PreparedBoundary {
         out
     }
 
-    fn ensure_index(&mut self, d: usize) {
-        if self.index[d].is_none() {
-            self.index[d] = Some(
-                self.basis[d]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s.clone(), i as u32))
-                    .collect(),
-            );
-        }
-    }
-
-    fn ensure_boundary(&mut self, d: usize) {
-        if self.boundaries[d].is_some() {
-            return;
-        }
+    /// Assembles `∂_d` (`d = 0` is the augmentation row). The row index
+    /// of the `(d−1)`-simplexes lives only as long as the assembly.
+    fn assemble(&self, d: usize) -> SparseGf2Matrix {
         let cols = self.basis[d].len();
-        let m = if d == 0 {
+        if d == 0 {
             // augmentation: every vertex maps to the empty simplex
-            SparseGf2Matrix::from_columns(1, vec![vec![0]; cols])
-        } else {
-            self.ensure_index(d - 1);
-            let idx = self.index[d - 1].as_ref().expect("index just built");
-            let rows = self.basis[d - 1].len();
-            let columns = self.basis[d]
-                .iter()
-                .map(|s| {
-                    s.boundary_faces()
-                        .map(|face| *idx.get(&face).expect("face missing from basis"))
-                        .collect()
-                })
-                .collect();
-            SparseGf2Matrix::from_columns(rows, columns)
-        };
-        self.assembled_columns += cols as u64;
-        self.boundaries[d] = Some(m);
+            return SparseGf2Matrix::from_columns(1, vec![vec![0]; cols]);
+        }
+        let rows: HashMap<&IdSimplex, u32> = self.basis[d - 1]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s, i as u32))
+            .collect();
+        let columns = self.basis[d]
+            .iter()
+            .map(|s| {
+                s.boundary_faces()
+                    .map(|face| *rows.get(&face).expect("face missing from basis"))
+                    .collect()
+            })
+            .collect();
+        SparseGf2Matrix::from_columns(self.basis[d - 1].len(), columns)
     }
 
-    /// Reduces `∂_d` if not cached, clearing against the cached
-    /// reduction of `∂_{d+1}` when one is available (`∂_{dim+1} = 0`
-    /// counts as available and clears nothing).
+    /// Assembles and reduces `∂_d` if not cached, clearing against the
+    /// cached reduction of `∂_{d+1}` when one is available (`∂_{dim+1} =
+    /// 0` counts as available and clears nothing).
     fn ensure_reduction(&mut self, d: usize) {
         if self.reductions[d].is_some() {
             return;
         }
-        self.ensure_boundary(d);
-        let cleared: Vec<u32> = match self.reductions.get(d + 1) {
-            Some(Some(above)) => above.pivot_lows().to_vec(),
-            _ => Vec::new(),
+        let boundary = self.assemble(d);
+        self.assembled_columns += self.basis[d].len() as u64;
+        let cleared = match self.reductions.get(d + 1) {
+            Some(Some(above)) => above.pivot_lows(),
+            _ => &[],
         };
-        let m = self.boundaries[d].as_ref().expect("boundary just built");
-        let red = m.reduce_cleared(&cleared);
-        self.reductions[d] = Some(red);
+        self.reductions[d] = Some(boundary.reduce_cleared(cleared));
     }
 
     /// GF(2) rank of `∂_d` (`0` outside `0..=dim`), reducing lazily.
@@ -188,57 +169,14 @@ impl PreparedBoundary {
         self.size(d) - self.rank(d) - self.rank(d + 1)
     }
 
-    /// All reduced mod-2 Betti numbers, `d = 0..=dim`, on the configured
-    /// thread count ([`parallel::configured_threads`]).
+    /// All reduced mod-2 Betti numbers, `d = 0..=dim`. The dimensions
+    /// not yet cached reduce top-down, so each reduction's pivot lows
+    /// clear the next-lower matrix.
     pub fn betti_mod2(&mut self) -> Vec<usize> {
-        self.betti_mod2_with_threads(parallel::configured_threads())
-    }
-
-    /// [`PreparedBoundary::betti_mod2`] on up to `threads` threads.
-    ///
-    /// Serially the dimensions reduce top-down so each reduction's pivot
-    /// lows clear the next-lower matrix; with `threads > 1` the
-    /// not-yet-cached dimensions reduce as independent jobs (no
-    /// cross-dimension clearing), merged by dimension index. Both paths
-    /// produce identical numbers — ranks are canonical — so the result
-    /// is byte-identical at any thread count and any cache state.
-    pub fn betti_mod2_with_threads(&mut self, threads: usize) -> Vec<usize> {
-        let dim = self.dim();
-        if dim < 0 {
-            return Vec::new();
+        for d in (0..self.basis.len()).rev() {
+            self.ensure_reduction(d);
         }
-        if threads <= 1 {
-            for d in (0..=dim as usize).rev() {
-                self.ensure_reduction(d);
-            }
-        } else {
-            for d in 0..=dim as usize {
-                self.ensure_boundary(d);
-            }
-            let missing: Vec<usize> = (0..=dim as usize)
-                .filter(|&d| self.reductions[d].is_none())
-                .collect();
-            let boundaries = &self.boundaries;
-            let reduced = parallel::parallel_map(&missing, threads, |_, &d| {
-                boundaries[d].as_ref().expect("assembled above").reduce()
-            });
-            for (d, r) in missing.into_iter().zip(reduced) {
-                self.reductions[d] = Some(r);
-            }
-        }
-        (0..=dim)
-            .map(|d| {
-                let above = if d < dim {
-                    self.reductions[(d + 1) as usize]
-                        .as_ref()
-                        .expect("cached")
-                        .rank()
-                } else {
-                    0
-                };
-                self.size(d) - self.reductions[d as usize].as_ref().expect("cached").rank() - above
-            })
-            .collect()
+        (0..=self.dim()).map(|d| self.betti(d)).collect()
     }
 
     /// The largest `q` such that the reduced mod-2 `H_d` vanishes for
@@ -260,23 +198,6 @@ impl PreparedBoundary {
             }
         }
         i32::MAX
-    }
-
-    /// [`PreparedBoundary::homological_connectivity`] on up to `threads`
-    /// threads (`threads > 1` computes the full Betti vector with
-    /// per-dimension jobs; identical result).
-    pub fn homological_connectivity_with_threads(&mut self, threads: usize) -> i32 {
-        if threads <= 1 {
-            return self.homological_connectivity();
-        }
-        let b2 = self.betti_mod2_with_threads(threads);
-        if b2.is_empty() {
-            return -2;
-        }
-        b2.iter()
-            .position(|&b| b != 0)
-            .map(|d| d as i32 - 1)
-            .unwrap_or(i32::MAX)
     }
 
     /// `true` iff the complex is homologically `q`-connected over GF(2):
@@ -335,7 +256,7 @@ mod tests {
         ] {
             let expected = Homology::betti_mod2(&c);
             let mut pb = PreparedBoundary::of_complex(&c);
-            assert_eq!(pb.betti_mod2_with_threads(1), expected, "{c:?}");
+            assert_eq!(pb.betti_mod2(), expected, "{c:?}");
         }
     }
 
@@ -356,27 +277,11 @@ mod tests {
         let c = Complex::from_facets([s(&[0, 1, 2]), s(&[4, 5])]);
         let mut pb = PreparedBoundary::of_complex(&c);
         assert_eq!(pb.homological_connectivity(), -1);
-        assert_eq!(pb.betti_mod2_with_threads(1), Homology::betti_mod2(&c));
+        assert_eq!(pb.betti_mod2(), Homology::betti_mod2(&c));
         // and the other way around on a fresh cache
         let mut pb2 = PreparedBoundary::of_complex(&c);
-        assert_eq!(pb2.betti_mod2_with_threads(1), Homology::betti_mod2(&c));
+        assert_eq!(pb2.betti_mod2(), Homology::betti_mod2(&c));
         assert_eq!(pb2.homological_connectivity(), -1);
-    }
-
-    #[test]
-    fn threaded_matches_serial_at_any_cache_state() {
-        let c = torus();
-        let serial = PreparedBoundary::of_complex(&c).betti_mod2_with_threads(1);
-        for threads in [2, 3, 4, 16] {
-            // cold
-            let mut pb = PreparedBoundary::of_complex(&c);
-            assert_eq!(pb.betti_mod2_with_threads(threads), serial);
-            // warm: connectivity first (bottom-up, no clearing), then betti
-            let mut pb2 = PreparedBoundary::of_complex(&c);
-            assert_eq!(pb2.homological_connectivity(), 0); // H~1 ≠ 0
-            assert_eq!(pb2.betti_mod2_with_threads(threads), serial);
-            assert_eq!(pb2.homological_connectivity_with_threads(threads), 0);
-        }
     }
 
     #[test]
@@ -399,7 +304,7 @@ mod tests {
     fn counters_accumulate() {
         let mut pb = PreparedBoundary::of_complex(&torus());
         assert_eq!(pb.assembled_columns(), 0);
-        let _ = pb.betti_mod2_with_threads(1);
+        let _ = pb.betti_mod2();
         // 7 vertices + 21 edges + 14 triangles
         assert_eq!(pb.assembled_columns(), 42);
         let stats = pb.stats();
@@ -407,7 +312,7 @@ mod tests {
         assert!(stats.cleared > 0, "top-down pass must clear columns");
         // repeated queries do no new work
         let before = pb.stats();
-        let _ = pb.betti_mod2_with_threads(1);
+        let _ = pb.betti_mod2();
         let _ = pb.homological_connectivity();
         assert_eq!(pb.stats(), before);
         assert_eq!(pb.assembled_columns(), 42);

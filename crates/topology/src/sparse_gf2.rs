@@ -147,8 +147,9 @@ fn xor_into(a: &[Block], b: &[Block], out: &mut Vec<Block>) -> u64 {
 }
 
 /// Work counters of one or more column reductions. Counters are *work*
-/// measurements (they differ across clearing / threading strategies);
-/// everything mathematical (rank, pivot lows) is strategy-independent.
+/// measurements (they differ with and without clearing, so with the
+/// order in which dimensions were reduced); everything mathematical
+/// (rank, pivot lows) is order-independent.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReductionStats {
     /// Columns presented to the reducer.
@@ -220,14 +221,6 @@ pub struct SparseGf2Matrix {
 }
 
 impl SparseGf2Matrix {
-    /// Creates an all-zero matrix with the given shape.
-    pub fn zero(rows: usize, cols: usize) -> Self {
-        SparseGf2Matrix {
-            rows,
-            cols: vec![WordColumn::default(); cols],
-        }
-    }
-
     /// Builds from explicit columns (each a list of row indices;
     /// deduplicated internally).
     ///
@@ -370,7 +363,7 @@ mod tests {
     fn rank_identity_and_zero() {
         let id = SparseGf2Matrix::from_columns(4, vec![vec![0], vec![1], vec![2], vec![3]]);
         assert_eq!(id.rank(), 4);
-        let z = SparseGf2Matrix::zero(5, 3);
+        let z = SparseGf2Matrix::from_columns(5, vec![Vec::new(); 3]);
         assert_eq!(z.rank(), 0);
         assert_eq!(z.nnz(), 0);
         assert_eq!(z.rows(), 5);

@@ -13,7 +13,9 @@ use proptest::prelude::*;
 use pseudosphere::agreement::{
     connectivity_sweep_shared, sync_task_complex, KSetAgreement, SweepPoint,
 };
-use pseudosphere::topology::{Complex, ConnectivityAnalyzer, Homology, PreparedBoundary, Simplex};
+use pseudosphere::topology::{
+    parallel, Complex, ConnectivityAnalyzer, Homology, PreparedBoundary, Simplex,
+};
 
 /// A random small complex over vertices `0..max_vert` (same strategy as
 /// tests/property_tests.rs and the `psph homology corpus` LCG stream).
@@ -71,11 +73,26 @@ proptest! {
         }
     }
 
+    /// The GF(2) engine reads no thread count: its Betti numbers and its
+    /// work counters are the same at every configured thread count (the
+    /// `--threads` flag and `PS_THREADS` set it). `set_threads` is
+    /// process-wide; no other test in this file reads the thread count.
     #[test]
     fn sparse_betti_is_thread_invariant(c in arb_complex(8, 8)) {
-        let serial = Homology::betti_mod2_with_threads(&c, 1);
-        for t in [2usize, 3, 16] {
-            prop_assert_eq!(Homology::betti_mod2_with_threads(&c, t), serial.clone(), "threads = {}", t);
+        let runs: Vec<_> = [1usize, 2, 3, 16]
+            .into_iter()
+            .map(|t| {
+                parallel::set_threads(Some(t));
+                let mut pb = PreparedBoundary::of_complex(&c);
+                (t, pb.betti_mod2(), pb.stats(), pb.assembled_columns())
+            })
+            .collect();
+        parallel::set_threads(None);
+        let (_, betti, stats, columns) = &runs[0];
+        for (t, b, s, a) in &runs[1..] {
+            prop_assert_eq!(b, betti, "threads = {}", t);
+            prop_assert_eq!(s, stats, "threads = {}", t);
+            prop_assert_eq!(a, columns, "threads = {}", t);
         }
     }
 }

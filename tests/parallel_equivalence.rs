@@ -1,19 +1,20 @@
 //! Cross-crate determinism check for the worker-pool layer: the
-//! parallel homology and sweep paths must be **byte-identical** to the
-//! serial ones on the actual model complexes the experiment drivers
-//! produce — not just on synthetic fixtures.
+//! parallel integral-homology and sweep paths must be
+//! **byte-identical** to the serial ones on the actual model complexes
+//! the experiments build — not just on synthetic fixtures.
 //!
-//! The pool only distributes independent `(dimension, row-block)` jobs
-//! and merges results by job index, so any divergence from the serial
-//! path is a bug, not a tolerance. This is the equivalence test CI runs
-//! under both `PS_THREADS=1` and the default thread count.
+//! The pool only distributes independent jobs (one Smith normal form
+//! per dimension, one grid point or group per sweep job) and merges
+//! results by job index, so any divergence from the serial path is a
+//! bug, not a tolerance. This is the equivalence test CI runs under
+//! both `PS_THREADS=1` and the default thread count.
 
 use std::collections::BTreeSet;
 
 use pseudosphere::agreement::{solvability_sweep, solvability_sweep_shared, SweepPoint};
 use pseudosphere::core::ProcessId;
 use pseudosphere::models::{input_simplex, FailurePattern, SemiSyncModel, SyncModel};
-use pseudosphere::topology::{parallel, ConnectivityAnalyzer, Homology};
+use pseudosphere::topology::{parallel, Homology};
 
 const THREADS: [usize; 4] = [2, 3, 4, 16];
 
@@ -21,16 +22,10 @@ const THREADS: [usize; 4] = [2, 3, 4, 16];
 fn sync_protocol_complex_homology_is_thread_invariant() {
     let complex = SyncModel::new(4, 1, 1).protocol_complex(&input_simplex(&[0u8, 1, 2, 3]), 2);
     let serial = Homology::reduced_with_threads(&complex, 1);
-    let serial_b2 = Homology::betti_mod2_with_threads(&complex, 1);
     for t in THREADS {
         assert_eq!(
             Homology::reduced_with_threads(&complex, t),
             serial,
-            "threads={t}"
-        );
-        assert_eq!(
-            Homology::betti_mod2_with_threads(&complex, t),
-            serial_b2,
             "threads={t}"
         );
     }
@@ -40,15 +35,12 @@ fn sync_protocol_complex_homology_is_thread_invariant() {
 fn semisync_complex_connectivity_is_thread_invariant() {
     let model = SemiSyncModel::new(3, 1, 1, 2);
     let complex = model.protocol_complex(&input_simplex(&[0u8, 1, 2]), 1);
-    let serial = ConnectivityAnalyzer::with_threads(&complex, 1);
-    let serial_m2 = ConnectivityAnalyzer::mod2_with_threads(&complex, 1);
+    // the whole homology, hence its connectivity, at every thread count
+    let serial = Homology::reduced_with_threads(&complex, 1);
     for t in THREADS {
-        let par = ConnectivityAnalyzer::with_threads(&complex, t);
-        assert_eq!(par.connectivity(), serial.connectivity(), "threads={t}");
-        let par_m2 = ConnectivityAnalyzer::mod2_with_threads(&complex, t);
         assert_eq!(
-            par_m2.connectivity(),
-            serial_m2.connectivity(),
+            Homology::reduced_with_threads(&complex, t),
+            serial,
             "threads={t}"
         );
     }
@@ -133,10 +125,11 @@ fn shared_solver_sweep_is_thread_invariant() {
     }
 }
 
-/// The default entry points (`Homology::reduced`, `betti_mod2`) must
-/// agree with the explicit serial path whatever `configured_threads()`
-/// resolves to — this is what running the whole suite twice (with and
-/// without `PS_THREADS=1`) exercises end to end.
+/// The default entry point `Homology::reduced` must agree with the
+/// explicit serial path whatever `configured_threads()` resolves to —
+/// this is what running the whole suite twice (with and without
+/// `PS_THREADS=1`) exercises end to end. `betti_mod2` reads no thread
+/// count; it is checked against the dense oracle on the same complex.
 #[test]
 fn default_entry_points_match_serial() {
     let complex = SyncModel::new(3, 1, 1).protocol_complex(&input_simplex(&[0u8, 1, 2]), 1);
@@ -146,7 +139,7 @@ fn default_entry_points_match_serial() {
     );
     assert_eq!(
         Homology::betti_mod2(&complex),
-        Homology::betti_mod2_with_threads(&complex, 1)
+        Homology::betti_mod2_dense(&complex)
     );
     // configured_threads itself honors the in-process override
     parallel::set_threads(Some(3));
