@@ -52,7 +52,7 @@ usage:
                [--rounds R] [--oracle]
   psph homology corpus [--trials T] [--seed S]
   psph simulate [--procs N] [--f F] [--k K] [--seeds S]
-  psph stretch [--procs N] [--k K] [--c1 T] [--c2 T] [--d T]
+  psph stretch [--procs N] [--k K] [--c1 T] [--c2 T] [--d T] [--timeline]
   psph traffic [--n N] [--messages M] [--policy sync|semisync|async|all]
                [--protocol gossip|floodset|bv] [--cut T] [--seed S]
                [--crashes C] [--c1 T] [--c2 T] [--d T] [--horizon H]
@@ -66,7 +66,8 @@ models: every model-taking subcommand also accepts `--model NAME`
         per recipient.  dynamic: reliable processes, per-round directed
         communication graph drawn from --family (rooted | strong).
 global: --threads T  worker threads for sweeps and integral homology
-        (default: all cores; PS_THREADS overrides)
+        (default: all cores; PS_THREADS overrides).  Any option a
+        subcommand does not list above is rejected before it runs.
         --symmetry on|off  exploit task symmetries: orbit branching in
         the solver and canonical-form dedupe across sweep groups
         (default: on; verdicts are identical either way)
@@ -151,16 +152,10 @@ fn family_opt(args: &Args) -> Result<GraphFamily, ArgError> {
 /// rejected with the full list of valid models — never silently mapped
 /// to a default.
 fn model_arg(args: &Args, valid: &[&str]) -> Result<String, ArgError> {
-    let name = match args.options.get("model") {
-        Some(m) => m.clone(),
-        None => args
-            .positional
-            .first()
-            .cloned()
-            .ok_or_else(|| ArgError(format!("missing model (one of: {})", valid.join(", "))))?,
-    };
-    if valid.contains(&name.as_str()) {
-        Ok(name)
+    let name = model_name(args)
+        .ok_or_else(|| ArgError(format!("missing model (one of: {})", valid.join(", "))))?;
+    if valid.contains(&name) {
+        Ok(name.to_string())
     } else {
         Err(ArgError(format!(
             "unknown model `{name}` (valid models: {})",
@@ -169,8 +164,71 @@ fn model_arg(args: &Args, valid: &[&str]) -> Result<String, ArgError> {
     }
 }
 
-/// Dispatches a parsed command line.
+/// The options of a grid point: the model (`--model` or the
+/// positional), its size and budget, and the `(k, r)` coordinates.
+const POINT_OPTIONS: &[&str] = &["model", "procs", "f", "k", "p", "t", "family", "rounds"];
+
+/// The solver's switches, read by every subcommand that solves.
+const SOLVER_OPTIONS: &[&str] = &["symmetry", "learning"];
+
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<(), ArgError>;
+
+/// The model name as given: `--model NAME`, else the first positional.
+fn model_name(args: &Args) -> Option<&str> {
+    args.options
+        .get("model")
+        .or(args.positional.first())
+        .map(String::as_str)
+}
+
+/// Dispatches a parsed command line. Every option must be one the
+/// subcommand reads (or the global `--threads`); anything else is
+/// rejected before any work starts, never silently ignored.
 pub fn run(args: &Args) -> Result<(), ArgError> {
+    let (command, options): (Command, &[&[&str]]) = match args.command.as_deref() {
+        Some("figure") => (figure, &[&["out", "format"]]),
+        Some("complex") => (complex, &[POINT_OPTIONS, &["format"]]),
+        Some("prove") => (prove, &[&["model", "procs", "k", "p", "level"]]),
+        Some("solve") => (solve, &[POINT_OPTIONS, SOLVER_OPTIONS]),
+        Some("sweep") => (
+            sweep,
+            &[
+                POINT_OPTIONS,
+                SOLVER_OPTIONS,
+                &["independent", "store", "resume"],
+            ],
+        ),
+        Some("conform") => (
+            conform,
+            &[
+                POINT_OPTIONS,
+                SOLVER_OPTIONS,
+                &["limit", "schedules", "inputs", "seed"],
+            ],
+        ),
+        Some("homology") if model_name(args) == Some("corpus") => {
+            (homology, &[&["model", "trials", "seed"]])
+        }
+        Some("homology") => (homology, &[POINT_OPTIONS, &["oracle"]]),
+        Some("serve") => (serve, &[SOLVER_OPTIONS, &["store", "input"]]),
+        Some("simulate") => (simulate, &[&["procs", "k", "f", "seeds"]]),
+        Some("stretch") => (stretch, &[&["procs", "k", "c1", "c2", "d", "timeline"]]),
+        Some("traffic") => (
+            traffic,
+            &[&[
+                "n", "messages", "seed", "crashes", "c1", "c2", "d", "horizon", "policy",
+                "protocol", "cut",
+            ]],
+        ),
+        Some("chain") => (chain, &[&["procs"]]),
+        Some(other) => return Err(ArgError(format!("unknown subcommand `{other}`"))),
+        None => return Err(ArgError("missing subcommand".into())),
+    };
+    let read = |key: &str| key == "threads" || options.iter().any(|set| set.contains(&key));
+    if let Some(key) = args.options.keys().find(|key| !read(key)) {
+        return Err(ArgError(format!("unknown option --{key}")));
+    }
     if let Some(t) = args.options.get("threads") {
         let t: usize = t
             .parse()
@@ -180,22 +238,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         }
         ps_topology::parallel::set_threads(Some(t));
     }
-    match args.command.as_deref() {
-        Some("figure") => figure(args),
-        Some("complex") => complex(args),
-        Some("prove") => prove(args),
-        Some("solve") => solve(args),
-        Some("sweep") => sweep(args),
-        Some("conform") => conform(args),
-        Some("homology") => homology(args),
-        Some("serve") => serve(args),
-        Some("simulate") => simulate(args),
-        Some("stretch") => stretch(args),
-        Some("traffic") => traffic(args),
-        Some("chain") => chain(args),
-        Some(other) => Err(ArgError(format!("unknown subcommand `{other}`"))),
-        None => Err(ArgError("missing subcommand".into())),
-    }
+    command(args)
 }
 
 fn first_positional(args: &Args, what: &str) -> Result<String, ArgError> {
@@ -499,13 +542,17 @@ fn budget(args: &Args, model: &str) -> Result<String, ArgError> {
 type Grid = Vec<((usize, usize), SweepPoint)>;
 
 /// The `(k, r)` grid of `sweep` and `conform`: every point up to
-/// `--k` and `--rounds` (at least one round), in `k`-major order.
+/// `--k` and `--rounds`, in `k`-major order. A grid starts at one
+/// round, so `--rounds 0` is an error rather than a quiet r = 1.
 fn grid_points(args: &Args, model: &str) -> Result<Grid, ArgError> {
     let k_max = args.usize_opt("k", 1)?;
     let r_max = args.usize_opt("rounds", 1)?;
+    if r_max == 0 {
+        return Err(ArgError("--rounds must be at least 1, got 0".into()));
+    }
     let mut grid = Vec::new();
     for k in 1..=k_max.max(1) {
-        for rounds in 1..=r_max.max(1) {
+        for rounds in 1..=r_max {
             // `k.min(k_max)` hands `--k 0` to the check instead of
             // quietly sweeping k = 1
             let point = point_from_args(args, model, k.min(k_max), rounds)?;
@@ -541,7 +588,7 @@ fn sweep(args: &Args) -> Result<(), ArgError> {
         args.usize_opt("procs", 3)?,
         budget(args, &model)?,
         args.usize_opt("k", 1)?,
-        args.usize_opt("rounds", 1)?.max(1),
+        args.usize_opt("rounds", 1)?,
         points.len(),
         if opts.symmetry { "on" } else { "off" },
         if opts.learning { "on" } else { "off" },
@@ -628,7 +675,7 @@ fn conform(args: &Args) -> Result<(), ArgError> {
          schedule limit {}, seed {:#x})",
         args.usize_opt("procs", 3)?,
         args.usize_opt("k", 1)?,
-        args.usize_opt("rounds", 1)?.max(1),
+        args.usize_opt("rounds", 1)?,
         points.len(),
         cfg.exhaustive_limit,
         cfg.seed,

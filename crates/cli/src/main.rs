@@ -10,15 +10,18 @@
 //! psph sweep <async|sync|semisync> [--procs N] [--f F] [--k K]
 //!              [--p P] [--rounds R] [--independent]
 //! psph simulate [--procs N] [--f F] [--k K] [--seeds S]
-//!
-//! All subcommands accept a global `--threads T` (worker threads for
-//! sweeps and integral homology; `PS_THREADS` overrides the default).
-//! psph stretch [--procs N] [--k K] [--c1 T] [--c2 T] [--d T]
+//! psph stretch [--procs N] [--k K] [--c1 T] [--c2 T] [--d T] [--timeline]
 //! psph traffic [--n N] [--messages M] [--policy sync|semisync|async|all]
 //!              [--seed S] [--crashes C] [--c1 T] [--c2 T] [--d T]
 //!              [--horizon H]
 //! psph chain [--procs N]
 //! ```
+//!
+//! All subcommands accept a global `--threads T` (worker threads for
+//! sweeps and integral homology; `PS_THREADS` overrides the default).
+//! Any other option a subcommand does not read is rejected before it
+//! runs (`error: unknown option --NAME`, exit 1); the full list is
+//! `commands::USAGE`.
 
 mod args;
 mod commands;

@@ -260,7 +260,7 @@ const TIMING: &str = "timing needs 0 < c1 ≤ c2 and d > 0, got";
 fn out_of_range_sizes_rejected() {
     const ALL: &[&str] = &["solve", "sweep", "conform", "homology", "complex"];
     let procs = |n| format!("{PROCS_BOUND} {n}");
-    let table: [(&[&str], &[&str], String); 12] = [
+    let table: [(&[&str], &[&str], String); 13] = [
         // 9 processes have 72 ordered pairs, more than the 64-bit edge
         // mask holds; the shifts used to wrap and answer on the wrong
         // complex
@@ -288,6 +288,12 @@ fn out_of_range_sizes_rejected() {
             &["solve", "sweep", "conform", "homology"],
             &["async", "--k", "0"],
             "k-set agreement needs k ≥ 1, got 0".into(),
+        ),
+        // a grid without rounds used to sweep r = 1 quietly
+        (
+            &["sweep", "conform"],
+            &["sync", "--rounds", "0"],
+            "--rounds must be at least 1, got 0".into(),
         ),
         // no microrounds used to panic in the semi-synchronous model
         (
@@ -333,6 +339,70 @@ fn out_of_range_sizes_rejected() {
             assert!(stderr.contains(expected.as_str()), "{argv:?}: {stderr}");
             assert!(stdout.is_empty(), "{argv:?} printed a verdict: {stdout}");
         }
+    }
+    // one point at r = 0 is the input complex, not an error
+    for cmd in ["solve", "complex", "homology"] {
+        let (stdout, stderr, ok) = psph(&[cmd, "sync", "--rounds", "0"]);
+        assert!(ok, "{cmd}: {stderr}");
+        assert!(!stdout.is_empty(), "{cmd}");
+    }
+}
+
+#[test]
+fn unknown_options_rejected() {
+    // each option used to be ignored: the run went ahead on defaults
+    // (`--symetry off` swept with symmetry on, `--round 2` solved r = 1)
+    let table: [(&[&str], &str); 14] = [
+        (&["figure", "1", "--fromat", "dot"], "fromat"),
+        (&["complex", "sync", "--proc", "4"], "proc"),
+        (&["prove", "sync", "--levle", "0"], "levle"),
+        (&["solve", "sync", "--round", "2"], "round"),
+        (
+            &[
+                "sweep",
+                "sync",
+                "--procs",
+                "3",
+                "--k",
+                "1",
+                "--symetry",
+                "off",
+            ],
+            "symetry",
+        ),
+        (&["conform", "sync", "--schedule", "3"], "schedule"),
+        (&["serve", "--stor", "verdicts"], "stor"),
+        (&["homology", "sync", "--orcale"], "orcale"),
+        (&["homology", "corpus", "--trial", "4"], "trial"),
+        // corpus mode builds no model complex
+        (&["homology", "corpus", "--procs", "4"], "procs"),
+        (&["simulate", "--seed", "5"], "seed"),
+        (&["stretch", "--c3", "4"], "c3"),
+        (&["traffic", "--message", "1000"], "message"),
+        (&["chain", "--proc", "3"], "proc"),
+    ];
+    for (argv, option) in table {
+        let out = Command::new(env!("CARGO_BIN_EXE_psph"))
+            .args(argv)
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stdout}{stderr}");
+        assert!(stdout.is_empty(), "{argv:?} did work: {stdout}");
+        assert!(
+            stderr.starts_with(&format!("error: unknown option --{option}\n")),
+            "{argv:?}: {stderr}"
+        );
+    }
+    // `--threads` stays global and `--model` stays a model command's
+    for argv in [
+        &["solve", "--model", "sync", "--threads", "1"][..],
+        &["chain", "--threads", "2"],
+    ] {
+        let (stdout, stderr, ok) = psph(argv);
+        assert!(ok, "{argv:?}: {stderr}");
+        assert!(!stdout.is_empty(), "{argv:?}");
     }
 }
 

@@ -8,9 +8,11 @@
 //! looking each image up in the pool, and fails (returns `None`) when
 //! the action does not map the pool's label set onto itself. Once
 //! lifted, checking that the action preserves an [`IdComplex`] is a
-//! cheap facet-set membership scan ([`AutomorphismValidator`]).
+//! check on the complex's pseudosphere cover, or else a facet-set
+//! membership scan ([`AutomorphismValidator`]).
 
-use std::collections::HashMap;
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
 
 use ps_topology::{IdComplex, IdSimplex, Label, VertexPool};
 
@@ -57,37 +59,121 @@ pub fn apply_to_complex(perm: &Perm, c: &IdComplex) -> IdComplex {
 /// An id permutation `σ` is an automorphism of a complex `C` iff it
 /// maps the facet set onto itself: a bijective vertex map sends
 /// maximal simplexes to maximal simplexes, and injectivity on a
-/// finite set makes "into" equal "onto". The validator indexes the
-/// facet set once, so each check is `O(facets × facet size)`.
-pub struct AutomorphismValidator {
-    facets: HashMap<IdSimplex, usize>,
+/// finite set makes "into" equal "onto".
+///
+/// When `C` carries a [pseudosphere
+/// cover](IdComplex::pseudosphere_cover), `σ` is first checked on it:
+/// if `σ` maps every recorded pseudosphere (slots as id sets, in any
+/// order) onto a recorded one, it maps their union onto itself, so it
+/// preserves the union of their closures — which is `C` — and hence
+/// the facet set. That costs `O(cover size)` instead of `O(facets ×
+/// facet size)`. When the check fails, or there is no cover, the
+/// validator falls back to the facet walk, indexing the facet set on
+/// first need. A cover check that fails proves nothing (a cover need
+/// not be preserved by every automorphism), so the certified set is
+/// exactly the facet walk's.
+pub struct AutomorphismValidator<'a> {
+    complex: &'a IdComplex,
     n: usize,
+    /// The cover's pseudospheres, by [`slot_list_key`].
+    cover: Option<HashSet<Box<[u32]>>>,
+    /// Facet ↦ position in sorted facet order, built on first need.
+    facets: OnceCell<HashMap<IdSimplex, usize>>,
 }
 
-impl AutomorphismValidator {
-    /// Indexes the facets of `c` for repeated validation. Vertex ids
-    /// in `c` must be dense (`< n`), where `n` is the degree of the
-    /// permutations to validate.
-    pub fn new(c: &IdComplex, n: usize) -> AutomorphismValidator {
+/// Rewrites a slot list in the flat layout of
+/// [`ps_topology::PseudosphereCover::spheres`] (each slot as its length
+/// followed by its ids) into its canonical key in `key`: every slot's
+/// ids sorted, slots in lexicographic order, same layout. `ψ` of a slot
+/// list does not depend on the order of its slots or of the ids within
+/// one, so slot lists with equal keys span the same pseudosphere.
+fn slot_list_key(slots: &mut [u32], key: &mut Vec<u32>) {
+    let mut sorted: Vec<&[u32]> = Vec::new();
+    let mut rest = slots;
+    while let Some((&mut len, tail)) = rest.split_first_mut() {
+        let (ids, tail) = tail.split_at_mut(len as usize);
+        ids.sort_unstable();
+        sorted.push(ids);
+        rest = tail;
+    }
+    sorted.sort_unstable();
+    key.clear();
+    for ids in sorted {
+        key.push(ids.len() as u32);
+        key.extend_from_slice(ids);
+    }
+}
+
+impl<'a> AutomorphismValidator<'a> {
+    /// Prepares `c` for repeated validation. Vertex ids in `c` must be
+    /// dense (`< n`), where `n` is the degree of the permutations to
+    /// validate.
+    pub fn new(c: &'a IdComplex, n: usize) -> AutomorphismValidator<'a> {
         debug_assert!(c.vertex_set().iter().all(|&v| (v as usize) < n));
+        let cover = c.pseudosphere_cover().map(|cover| {
+            let mut slots = Vec::new();
+            let mut key = Vec::new();
+            cover
+                .spheres()
+                .map(|sphere| {
+                    slots.clear();
+                    slots.extend_from_slice(sphere);
+                    slot_list_key(&mut slots, &mut key);
+                    key.as_slice().into()
+                })
+                .collect()
+        });
         AutomorphismValidator {
-            facets: c
-                .facets()
-                .enumerate()
-                .map(|(i, f)| (f.clone(), i))
-                .collect(),
+            complex: c,
             n,
+            cover,
+            facets: OnceCell::new(),
         }
     }
 
+    /// The facet index, built on first call.
+    fn facet_index(&self) -> &HashMap<IdSimplex, usize> {
+        self.facets.get_or_init(|| {
+            self.complex
+                .facets()
+                .enumerate()
+                .map(|(i, f)| (f.clone(), i))
+                .collect()
+        })
+    }
+
+    /// Whether `perm` maps the set of recorded pseudospheres onto
+    /// itself (`false` when there is no cover).
+    fn preserves_cover(&self, perm: &Perm) -> bool {
+        let Some(cover) = &self.cover else {
+            return false;
+        };
+        let mut image = Vec::new();
+        let mut key = Vec::new();
+        cover.iter().all(|sphere| {
+            image.clear();
+            let mut rest: &[u32] = sphere;
+            while let Some((&len, tail)) = rest.split_first() {
+                let (ids, tail) = tail.split_at(len as usize);
+                image.push(len);
+                image.extend(ids.iter().map(|&id| perm.apply(id)));
+                rest = tail;
+            }
+            slot_list_key(&mut image, &mut key);
+            cover.contains(key.as_slice())
+        })
+    }
+
     /// Whether `perm` maps every facet to a facet (hence is an
-    /// automorphism of the indexed complex).
+    /// automorphism of the complex).
     pub fn is_automorphism(&self, perm: &Perm) -> bool {
         perm.degree() == self.n
-            && self
-                .facets
-                .keys()
-                .all(|f| self.facets.contains_key(&apply_to_simplex(perm, f)))
+            && (self.preserves_cover(perm) || {
+                let facets = self.facet_index();
+                facets
+                    .keys()
+                    .all(|f| facets.contains_key(&apply_to_simplex(perm, f)))
+            })
     }
 
     /// Filters a proposed generator set down to certified
@@ -105,9 +191,10 @@ impl AutomorphismValidator {
         if perm.degree() != self.n {
             return None;
         }
-        let mut images = vec![0u32; self.facets.len()];
-        for (f, &i) in &self.facets {
-            let j = self.facets.get(&apply_to_simplex(perm, f))?;
+        let facets = self.facet_index();
+        let mut images = vec![0u32; facets.len()];
+        for (f, &i) in facets {
+            let j = facets.get(&apply_to_simplex(perm, f))?;
             images[i] = *j as u32;
         }
         Perm::from_images(images)
@@ -118,6 +205,7 @@ impl AutomorphismValidator {
 mod tests {
     use super::*;
     use crate::orbits::orbit_partition;
+    use ps_topology::InternedBuilder;
 
     /// The hollow triangle on ids {0,1,2}: facets are the three edges.
     fn hollow_triangle() -> IdComplex {
@@ -180,6 +268,64 @@ mod tests {
         assert!(validator.is_automorphism(&good));
         assert!(validator.facet_action(&good).unwrap().is_identity());
         assert_eq!(validator.certify(vec![bad, good.clone()]), vec![good]);
+    }
+
+    /// The hollow triangle recorded as ψ({0}, {1,2}) ∪ ψ({1}, {2}):
+    /// two pseudospheres covering three facets.
+    fn covered_hollow_triangle() -> IdComplex {
+        let mut b: InternedBuilder<u32> = InternedBuilder::new();
+        b.add_pseudosphere(vec![vec![0], vec![1, 2]]);
+        b.add_pseudosphere(vec![vec![1], vec![2]]);
+        let (pool, c) = b.into_parts();
+        assert_eq!(pool.labels(), &[0, 1, 2], "labels are their own ids");
+        assert!(c.pseudosphere_cover().is_some());
+        assert_eq!(c, hollow_triangle());
+        c
+    }
+
+    #[test]
+    fn failed_cover_check_falls_back_to_the_facet_walk() {
+        let c = covered_hollow_triangle();
+        let validator = AutomorphismValidator::new(&c, 3);
+        // (0 1) maps ψ({0},{1,2}) to ψ({1},{0,2}), which is not
+        // recorded, yet it is an automorphism of the triangle
+        let swap = Perm::transposition(3, 0, 1);
+        assert!(!validator.preserves_cover(&swap));
+        assert!(validator.facets.get().is_none());
+        assert!(validator.is_automorphism(&swap));
+        assert!(validator.facets.get().is_some(), "the walk built the index");
+    }
+
+    #[test]
+    fn non_automorphism_is_rejected_with_a_cover() {
+        // ψ({0,1}, {2,3}) ∪ ψ({0,1}, {4}): the 4-cycle 0–2–1–3 with two
+        // pendant edges to 4
+        let mut b: InternedBuilder<u32> = InternedBuilder::new();
+        b.add_pseudosphere(vec![vec![0, 1], vec![2, 3]]);
+        b.add_pseudosphere(vec![vec![0, 1], vec![4]]);
+        let (pool, c) = b.into_parts();
+        let id = |v| pool.id_of(&v).unwrap();
+        assert!(c.pseudosphere_cover().is_some());
+        let validator = AutomorphismValidator::new(&c, 5);
+        // swapping the cycle's two sides moves the pendant edges
+        let bad = Perm::transposition(5, id(0), id(2));
+        assert!(!validator.is_automorphism(&bad));
+        assert!(validator.facet_action(&bad).is_none());
+        // swapping within a side is certified on the cover alone
+        let good = Perm::transposition(5, id(2), id(3));
+        assert!(validator.is_automorphism(&good));
+        assert_eq!(validator.certify(vec![bad, good.clone()]), vec![good]);
+    }
+
+    #[test]
+    fn cover_certification_leaves_the_facet_index_unbuilt() {
+        let c = covered_hollow_triangle();
+        let validator = AutomorphismValidator::new(&c, 3);
+        // (1 2) maps ψ({0},{1,2}) and ψ({1},{2}) onto ψ({0},{1,2}) and
+        // ψ({2},{1}): the same slot lists in another order
+        assert!(validator.is_automorphism(&Perm::transposition(3, 1, 2)));
+        assert!(validator.is_automorphism(&Perm::identity(3)));
+        assert!(validator.facets.get().is_none(), "no facet walk ran");
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! - [`IdComplex`] mirrors the facet-anti-chain representation of
 //!   [`Complex`] over ids, with the vertex set and dimension cached;
 //! - [`InternedBuilder`] accumulates facets given as raw label lists,
-//!   interning each label once at creation.
+//!   interning each label once at creation, and records the slot lists
+//!   of the pseudospheres it adds as the complex's
+//!   [pseudosphere cover](IdComplex::pseudosphere_cover).
 //!
 //! # Canonical pools and enumeration order
 //!
@@ -527,6 +529,54 @@ pub struct IdComplex {
     /// A cache: equality ignores it, `Clone` does not copy it, and
     /// [`InternedBuilder::into_parts`] drops it.
     incidence: Option<Incidence>,
+    /// The pseudospheres whose union this complex is, as slot lists
+    /// (see [`IdComplex::pseudosphere_cover`]). Only
+    /// [`InternedBuilder::into_parts`] attaches one; any later
+    /// insertion drops it. Equality ignores it; `Clone` copies it.
+    cover: Option<PseudosphereCover>,
+}
+
+/// The slot lists of the pseudospheres a complex is the union of (see
+/// [`IdComplex::pseudosphere_cover`]), stored flat: each pseudosphere
+/// `ψ(S₀, …, S_m)` is written as `|S₀|, S₀…, |S₁|, S₁…, …`, its slots in
+/// emission order and each slot's ids in option order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PseudosphereCover {
+    /// Every recorded pseudosphere's layout, back to back.
+    words: Vec<u32>,
+    /// The end of each pseudosphere's layout in `words`.
+    ends: Vec<usize>,
+}
+
+impl PseudosphereCover {
+    /// Number of recorded pseudospheres.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` iff nothing is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Each recorded pseudosphere in its flat layout: for every slot,
+    /// its id count followed by its ids.
+    pub fn spheres(&self) -> impl Iterator<Item = &[u32]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.words[start..end])
+    }
+
+    /// Records `ψ(slots)`.
+    fn push(&mut self, slots: &[Vec<u32>]) {
+        for slot in slots {
+            self.words
+                .push(u32::try_from(slot.len()).expect("slot size overflow"));
+            self.words.extend_from_slice(slot);
+        }
+        self.ends.push(self.words.len());
+    }
 }
 
 impl Clone for IdComplex {
@@ -537,6 +587,7 @@ impl Clone for IdComplex {
             dim: self.dim,
             sizes: self.sizes.clone(),
             incidence: None,
+            cover: self.cover.clone(),
         }
     }
 }
@@ -651,6 +702,7 @@ impl IdComplex {
             dim: -1,
             sizes: BTreeMap::new(),
             incidence: None,
+            cover: None,
         }
     }
 
@@ -671,7 +723,11 @@ impl IdComplex {
     /// index (built here on first need): `s` is dropped if a stored
     /// facet containing its rarest vertex contains it, and it absorbs
     /// the smaller stored facets whose vertices all lie in `s`.
+    ///
+    /// Drops the pseudosphere cover, which no longer describes the
+    /// complex.
     pub fn add_simplex(&mut self, s: IdSimplex) {
+        self.cover = None;
         if s.is_empty() {
             return;
         }
@@ -703,7 +759,11 @@ impl IdComplex {
     /// stored facet (e.g. all facets share a dimension and are
     /// distinct, or the insertion order is known to be an anti-chain).
     /// Skips the absorption checks of [`IdComplex::add_simplex`].
+    ///
+    /// Drops the pseudosphere cover, which no longer describes the
+    /// complex.
     pub fn insert_facet_unchecked(&mut self, s: IdSimplex) {
+        self.cover = None;
         if s.is_empty() {
             return;
         }
@@ -747,6 +807,21 @@ impl IdComplex {
     /// Number of facets.
     pub fn facet_count(&self) -> usize {
         self.facets.len()
+    }
+
+    /// The pseudospheres this complex is the union of, each as its
+    /// slot list (a facet of `ψ(slots)` picks one id from every slot),
+    /// or `None` when no such cover is known.
+    ///
+    /// The complex is the union of the closures of these
+    /// pseudospheres, so its facets are the maximal simplexes among
+    /// their facets. [`InternedBuilder::into_parts`] attaches a cover
+    /// when every facet came from [`InternedBuilder::add_pseudosphere`]
+    /// and the cover has fewer entries than the complex has facets;
+    /// [`IdComplex::add_simplex`] and
+    /// [`IdComplex::insert_facet_unchecked`] drop it.
+    pub fn pseudosphere_cover(&self) -> Option<&PseudosphereCover> {
+        self.cover.as_ref()
     }
 
     /// Iterator over facets in lexicographic id order.
@@ -982,6 +1057,9 @@ impl fmt::Debug for IdComplex {
 pub struct InternedBuilder<V> {
     pool: VertexPool<V>,
     complex: IdComplex,
+    /// The slot lists of every pseudosphere added so far; `None` once a
+    /// facet was added any other way.
+    cover: Option<PseudosphereCover>,
 }
 
 impl<V: Label> InternedBuilder<V> {
@@ -990,6 +1068,7 @@ impl<V: Label> InternedBuilder<V> {
         InternedBuilder {
             pool: VertexPool::new(),
             complex: IdComplex::new(),
+            cover: Some(PseudosphereCover::default()),
         }
     }
 
@@ -1009,15 +1088,19 @@ impl<V: Label> InternedBuilder<V> {
     }
 
     /// Adds the facet spanned by `vertices` (duplicates merge), with
-    /// absorption against previously added facets.
+    /// absorption against previously added facets. The finished
+    /// complex then has no pseudosphere cover.
     pub fn add_facet_vertices(&mut self, vertices: impl IntoIterator<Item = V>) {
         let ids: Vec<u32> = vertices.into_iter().map(|v| self.pool.intern(v)).collect();
+        self.cover = None;
         self.complex.add_simplex(IdSimplex::from_ids(ids));
     }
 
-    /// Adds a label simplex with absorption.
+    /// Adds a label simplex with absorption. The finished complex then
+    /// has no pseudosphere cover.
     pub fn add_facet(&mut self, s: &Simplex<V>) {
         let id_simplex = self.pool.intern_simplex(s);
+        self.cover = None;
         self.complex.add_simplex(id_simplex);
     }
 
@@ -1034,6 +1117,9 @@ impl<V: Label> InternedBuilder<V> {
     /// (as views of distinct processes in process order do), labels get
     /// exactly the ids that adding the sorted facets one by one with
     /// [`InternedBuilder::add_facet`] would give them.
+    ///
+    /// The slots' id sets are recorded for the finished complex's
+    /// [pseudosphere cover](IdComplex::pseudosphere_cover).
     pub fn add_pseudosphere(&mut self, slots: Vec<Vec<V>>) {
         if slots.is_empty() || slots.iter().any(Vec::is_empty) {
             return;
@@ -1049,6 +1135,9 @@ impl<V: Label> InternedBuilder<V> {
         for (slot, options) in rest.into_iter().enumerate().rev() {
             ids[slot].extend(options.map(|v| self.pool.intern(v)));
         }
+        if let Some(cover) = &mut self.cover {
+            cover.push(&ids);
+        }
         for_each_product(&ids, |pick| {
             self.complex
                 .add_simplex(IdSimplex::from_ids(pick.iter().map(|&&id| id).collect()));
@@ -1061,9 +1150,15 @@ impl<V: Label> InternedBuilder<V> {
     }
 
     /// Finishes, returning the raw interned parts (without the
-    /// complex's incidence index, which only construction needs).
+    /// complex's incidence index, which only construction needs). The
+    /// complex carries the recorded
+    /// [pseudosphere cover](IdComplex::pseudosphere_cover) when only
+    /// [`InternedBuilder::add_pseudosphere`] added facets and the cover
+    /// has fewer entries than the complex has facets.
     pub fn into_parts(mut self) -> (VertexPool<V>, IdComplex) {
         self.complex.incidence = None;
+        let facets = self.complex.facet_count();
+        self.complex.cover = self.cover.filter(|cover| cover.len() < facets);
         (self.pool, self.complex)
     }
 }
@@ -1449,6 +1544,67 @@ mod tests {
             Simplex::from_iter(["z"]),
         ]);
         assert_eq!(c, expected);
+    }
+
+    /// ψ({a, b}, {c, d}): the 4-cycle a–c–b–d, as one recorded
+    /// pseudosphere of four facets.
+    fn square_builder() -> InternedBuilder<&'static str> {
+        let mut b = InternedBuilder::new();
+        b.add_pseudosphere(vec![vec!["a", "b"], vec!["c", "d"]]);
+        b
+    }
+
+    #[test]
+    fn cover_is_attached_only_to_pseudosphere_builds() {
+        let (pool, c) = square_builder().into_parts();
+        assert_eq!(c.facet_count(), 4);
+        let id = |v| pool.id_of(&v).unwrap();
+        let cover = c
+            .pseudosphere_cover()
+            .expect("one pseudosphere, four facets");
+        assert_eq!(cover.len(), 1);
+        assert_eq!(
+            cover.spheres().collect::<Vec<_>>(),
+            [&[2, id("a"), id("b"), 2, id("c"), id("d")][..]]
+        );
+        // a facet added any other way leaves no cover
+        let mut b = square_builder();
+        b.add_facet_vertices(["a", "e"]);
+        assert!(b.into_parts().1.pseudosphere_cover().is_none());
+        let mut b = square_builder();
+        b.add_facet(&Simplex::from_iter(["a", "e"]));
+        assert!(b.into_parts().1.pseudosphere_cover().is_none());
+        // and so does a pseudosphere added after one
+        let mut b = InternedBuilder::new();
+        b.add_facet_vertices(["a", "e"]);
+        b.add_pseudosphere(vec![vec!["a", "b"], vec!["c", "d"]]);
+        assert!(b.into_parts().1.pseudosphere_cover().is_none());
+        // no cover unless it is smaller than the facet set: one
+        // single-facet pseudosphere, and an empty build
+        let mut b = InternedBuilder::new();
+        b.add_pseudosphere(vec![vec!["a"], vec!["b"]]);
+        assert!(b.into_parts().1.pseudosphere_cover().is_none());
+        let empty: InternedBuilder<&str> = InternedBuilder::new();
+        assert!(empty.into_parts().1.pseudosphere_cover().is_none());
+        // complexes built without a builder have none
+        let (_, idc) = Complex::from_facets([Simplex::from_iter([1u32, 2])]).to_interned();
+        assert!(idc.pseudosphere_cover().is_none());
+    }
+
+    #[test]
+    fn cover_survives_clone_is_dropped_by_insertion_and_ignored_by_eq() {
+        let (_, c) = square_builder().into_parts();
+        let copy = c.clone();
+        assert!(copy.pseudosphere_cover().is_some());
+        let bare = IdComplex::from_facets(c.facets().cloned());
+        assert!(bare.pseudosphere_cover().is_none());
+        assert_eq!(bare, c);
+        let mut added = c.clone();
+        added.add_simplex(ids(&[0, 9]));
+        assert!(added.pseudosphere_cover().is_none());
+        let mut inserted = c.clone();
+        inserted.insert_facet_unchecked(ids(&[8, 9]));
+        assert!(inserted.pseudosphere_cover().is_none());
     }
 
     #[test]

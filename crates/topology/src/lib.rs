@@ -50,7 +50,9 @@ mod complex;
 pub use complex::Complex;
 
 pub mod intern;
-pub use intern::{for_each_product, IdComplex, IdSimplex, InternedBuilder, VertexPool};
+pub use intern::{
+    for_each_product, IdComplex, IdSimplex, InternedBuilder, PseudosphereCover, VertexPool,
+};
 
 pub mod matrix;
 
