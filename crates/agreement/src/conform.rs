@@ -41,8 +41,8 @@ use ps_models::schedules::{
 };
 use ps_protocols::KSetFlood;
 use ps_runtime::{
-    AsyncExecutor, HeardSets, RoundFailures, ScriptedAdversary, ScriptedHeardSets, SyncExecutor,
-    SyncTrace,
+    AsyncAdversary, AsyncExecutor, HeardSets, RandomAsyncAdversary, RoundFailures,
+    ScriptedAdversary, ScriptedHeardSets, SyncExecutor, SyncTrace,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -544,12 +544,12 @@ fn async_point(
             })
             .collect();
         runs.push((all.clone(), vec![staircase; rounds]));
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ salt.wrapping_mul(0x5A5A_5A5A));
+        let mut adversary = RandomAsyncAdversary::new(cfg.seed ^ salt.wrapping_mul(0x5A5A_5A5A));
         for _ in 0..cfg.random_schedules {
-            runs.push((
-                all.clone(),
-                random_async_schedule(&mut rng, &all, min_heard, rounds),
-            ));
+            let schedule = (1..=rounds)
+                .map(|round| adversary.plan_round(round, &all, min_heard))
+                .collect();
+            runs.push((all.clone(), schedule));
         }
     }
 
@@ -682,30 +682,6 @@ fn random_sync_schedule(
         alive = survivors;
     }
     schedule
-}
-
-fn random_async_schedule(
-    rng: &mut StdRng,
-    participants: &BTreeSet<ProcessId>,
-    min_heard: usize,
-    rounds: usize,
-) -> AsyncSchedule {
-    (0..rounds)
-        .map(|_| {
-            participants
-                .iter()
-                .map(|p| {
-                    let mut others: Vec<ProcessId> =
-                        participants.iter().copied().filter(|q| q != p).collect();
-                    others.shuffle(rng);
-                    let extra = rng.gen_range(min_heard.saturating_sub(1)..=others.len());
-                    let mut heard: BTreeSet<ProcessId> = others.into_iter().take(extra).collect();
-                    heard.insert(*p);
-                    (*p, heard)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -674,11 +674,14 @@ impl SweepPoint {
     /// Rejects a point the builders cannot take: `k = 0` (no agreement
     /// task), a process count outside `1..=`[`MAX_SUBSET_BASE`] (the
     /// limit of the input-face and subset enumerations), a dynamic point
-    /// above [`DynamicModel::MAX_PROCESSES`] (its graph masks), and a
-    /// semi-synchronous point without microrounds. Points from outside
-    /// the program must pass it before they run: past these bounds the
-    /// builders panic, and at `k = 0` the solver would answer for a task
-    /// that does not exist.
+    /// above [`DynamicModel::MAX_PROCESSES`] (its graph masks), a
+    /// semi-synchronous point without microrounds, and a crash budget
+    /// `f` or Byzantine budget `t` above `n`. Points from outside the
+    /// program must pass it before they run: past these bounds the
+    /// builders panic, at `k = 0` the solver would answer for a task
+    /// that does not exist, and a budget above `n` builds the complex
+    /// of budget `n` (the builders saturate there), so its verdict
+    /// would be labelled with a budget it was never computed for.
     pub fn check(&self) -> Result<(), String> {
         let n_plus_1 = self.shared_key().n_plus_1();
         if self.k() == 0 {
@@ -697,6 +700,20 @@ impl SweepPoint {
             SweepPoint::SemiSync { microrounds: 0, .. } => {
                 Err("the semi-synchronous model needs at least one microround, got 0".into())
             }
+            SweepPoint::Async { f, .. }
+            | SweepPoint::Sync { f, .. }
+            | SweepPoint::SemiSync { f, .. }
+                if f >= n_plus_1 =>
+            {
+                Err(format!(
+                    "the crash budget f must be at most n = {} for {n_plus_1} processes, got {f}",
+                    n_plus_1 - 1
+                ))
+            }
+            SweepPoint::Byzantine { t, .. } if t >= n_plus_1 => Err(format!(
+                "the Byzantine budget t must be at most n = {} for {n_plus_1} processes, got {t}",
+                n_plus_1 - 1
+            )),
             _ => Ok(()),
         }
     }
@@ -1661,6 +1678,68 @@ mod tests {
             rounds: 1,
         };
         assert!(semisync.check().unwrap_err().contains("microround"));
+        // a budget above n used to build the complex of budget n
+        let crash_budget = |f| {
+            [
+                SweepPoint::Async {
+                    k: 1,
+                    f,
+                    n_plus_1: 3,
+                    rounds: 1,
+                },
+                SweepPoint::Sync {
+                    k: 1,
+                    f,
+                    n_plus_1: 3,
+                    k_per_round: 1,
+                    rounds: 2,
+                },
+                SweepPoint::SemiSync {
+                    k: 1,
+                    f,
+                    n_plus_1: 3,
+                    k_per_round: 1,
+                    microrounds: 2,
+                    rounds: 1,
+                },
+            ]
+        };
+        for point in crash_budget(2) {
+            assert_eq!(point.check(), Ok(()), "{point:?}");
+        }
+        for f in [3, 6, 7] {
+            for point in crash_budget(f) {
+                assert_eq!(
+                    point.check().unwrap_err(),
+                    format!("the crash budget f must be at most n = 2 for 3 processes, got {f}"),
+                    "{point:?}"
+                );
+            }
+        }
+        let byzantine = |t| SweepPoint::Byzantine {
+            k: 1,
+            t,
+            n_plus_1: 3,
+            rounds: 1,
+        };
+        assert_eq!(byzantine(2).check(), Ok(()));
+        for t in [3, 9] {
+            assert_eq!(
+                byzantine(t).check().unwrap_err(),
+                format!("the Byzantine budget t must be at most n = 2 for 3 processes, got {t}")
+            );
+        }
+        // an earlier bound keeps its message when the budget is also out
+        // of range
+        let small = SweepPoint::SemiSync {
+            k: 1,
+            f: 5,
+            n_plus_1: 3,
+            k_per_round: 1,
+            microrounds: 0,
+            rounds: 1,
+        };
+        assert!(small.check().unwrap_err().contains("microround"));
     }
 
     #[test]

@@ -97,30 +97,20 @@ pub enum AgreementConstraint {
 pub struct SolverConfig {
     /// Prune domains through saturated facets (on by default).
     pub forward_checking: bool,
-    /// Try only one candidate value per orbit of the residual symmetry
-    /// group at each decision vertex (on by default; a no-op unless
-    /// the instance has symmetries attached — see
-    /// [`PreparedInstance::attach_symmetries`]).
-    pub orbit_branching: bool,
     /// Conflict-driven search (on by default): explain every dead end
     /// by the decision levels it implicates, backjump to the deepest
     /// implicated level, and record the explanation as a learned
-    /// nogood consulted during propagation. Off restores the plain
-    /// chronological search with identical statistics.
+    /// nogood, in a bounded store consulted during propagation. Off
+    /// restores the plain chronological search with identical
+    /// statistics.
     pub learning: bool,
-    /// Capacity of the learned-nogood store; when full, the
-    /// lowest-activity half is evicted so memory stays flat on long
-    /// sweeps. Ignored when `learning` is off.
-    pub nogood_cap: usize,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             forward_checking: true,
-            orbit_branching: true,
             learning: true,
-            nogood_cap: 4096,
         }
     }
 }
@@ -338,6 +328,10 @@ impl Explanation {
         }
     }
 }
+
+/// Capacity of the learned-nogood store: when full, the lowest-activity
+/// half is evicted so memory stays flat on long sweeps.
+const NOGOOD_CAP: usize = 4096;
 
 /// Explanations longer than this are still used for backjumping but are
 /// too specific to be worth recording — they almost never fire again
@@ -1089,8 +1083,7 @@ impl DecisionMapSolver {
         // Orbit branching transports solutions along value bijections,
         // which preserves distinct-value counts (AtMostKDistinct,
         // AllDistinct) but not value *ranges* — MaxRange stays unpruned.
-        let use_symmetry = self.config.orbit_branching
-            && !instance.symmetries.is_empty()
+        let use_symmetry = !instance.symmetries.is_empty()
             && !matches!(constraint, AgreementConstraint::MaxRange(_));
         let gens: Vec<GenTrack> = if use_symmetry {
             instance
@@ -1135,7 +1128,7 @@ impl DecisionMapSolver {
             level_of: vec![0; n],
             is_decision: vec![false; n],
             expl: vec![BTreeSet::new(); n],
-            store: NogoodStore::new(self.config.nogood_cap, n),
+            store: NogoodStore::new(NOGOOD_CAP, n),
         };
         let solved = self.backtrack(&mut state);
         self.last_nogoods = state
@@ -1690,7 +1683,6 @@ mod tests {
         let mut slow = DecisionMapSolver::with_config(SolverConfig {
             forward_checking: false,
             learning: false,
-            ..SolverConfig::default()
         });
         assert_eq!(fast.solve(&c, dom, 1), None);
         assert_eq!(slow.solve(&c, dom, 1), None);
@@ -1963,7 +1955,6 @@ mod tests {
                 let config = SolverConfig {
                     forward_checking,
                     learning: false,
-                    ..SolverConfig::default()
                 };
                 let mut iter_solver = DecisionMapSolver::with_config(config);
                 let got = iter_solver.solve_with(&c, allowed, constraint);
@@ -2061,7 +2052,6 @@ mod tests {
             DecisionMapSolver::with_config(SolverConfig {
                 forward_checking: false,
                 learning,
-                ..SolverConfig::default()
             })
         };
         let mut on = mk(true);

@@ -363,11 +363,10 @@ fn complex(args: &Args) -> Result<(), ArgError> {
     let t = args.usize_opt("t", 1)?;
     let rounds = args.usize_opt("rounds", 1)?;
     let format = args.str_opt("format", "summary");
-    // the sweeps' bounds on --procs and --p (iis takes async's); --k is
-    // a per-round crash bound here, not an agreement parameter, so the
+    // the sweeps' bounds on --procs, --p and the budgets; --k is a
+    // per-round crash bound here, not an agreement parameter, so the
     // check runs at k = 1
-    let checked = if model == "iis" { "async" } else { &model };
-    point_from_args(args, checked, 1, rounds)?;
+    point_from_args(args, &model, 1, rounds)?;
     let inputs: Vec<u8> = (0..n as u8).collect();
     let input = input_simplex(&inputs);
     let title = format!("{model} complex, {n} processes, {rounds} round(s)");
@@ -520,6 +519,13 @@ fn point_from_args(
             k,
             n_plus_1,
             family,
+            rounds,
+        },
+        // `complex iis` takes async's bounds on --procs, but reads no --f
+        "iis" => SweepPoint::Async {
+            k,
+            f: 0,
+            n_plus_1,
             rounds,
         },
         _ => unreachable!("model_arg validated the name"),

@@ -260,7 +260,10 @@ const TIMING: &str = "timing needs 0 < c1 ≤ c2 and d > 0, got";
 fn out_of_range_sizes_rejected() {
     const ALL: &[&str] = &["solve", "sweep", "conform", "homology", "complex"];
     let procs = |n| format!("{PROCS_BOUND} {n}");
-    let table: [(&[&str], &[&str], String); 13] = [
+    let f_bound = |f| format!("the crash budget f must be at most n = 2 for 3 processes, got {f}");
+    let t_bound =
+        |t| format!("the Byzantine budget t must be at most n = 2 for 3 processes, got {t}");
+    let table: [(&[&str], &[&str], String); 18] = [
         // 9 processes have 72 ordered pairs, more than the 64-bit edge
         // mask holds; the shifts used to wrap and answer on the wrong
         // complex
@@ -301,6 +304,17 @@ fn out_of_range_sizes_rejected() {
             &["semisync", "--p", "0"],
             "the semi-synchronous model needs at least one microround, got 0".into(),
         ),
+        // budgets above n used to build the budget-n complex and label
+        // its verdict with the budget asked for
+        (ALL, &["async", "--procs", "3", "--f", "7"], f_bound(7)),
+        (
+            ALL,
+            &["sync", "--procs", "3", "--f", "6", "--rounds", "2"],
+            f_bound(6),
+        ),
+        (ALL, &["semisync", "--procs", "3", "--f", "3"], f_bound(3)),
+        (ALL, &["byzantine", "--procs", "3", "--t", "3"], t_bound(3)),
+        (ALL, &["byzantine", "--procs", "3", "--t", "9"], t_bound(9)),
         // no processes used to panic (stretch: `n - 1` wrapped) or
         // report a clean sweep of an empty system (simulate)
         (
@@ -345,6 +359,18 @@ fn out_of_range_sizes_rejected() {
         let (stdout, stderr, ok) = psph(&[cmd, "sync", "--rounds", "0"]);
         assert!(ok, "{cmd}: {stderr}");
         assert!(!stdout.is_empty(), "{cmd}");
+    }
+    // a budget of n is the wait-free model, not an error; iis reads no
+    // --f, so neither its default nor a given value is checked
+    for argv in [
+        &["solve", "async", "--procs", "3", "--f", "2"][..],
+        &["solve", "byzantine", "--procs", "3", "--t", "2"],
+        &["complex", "iis", "--procs", "1"],
+        &["complex", "iis", "--f", "7"],
+    ] {
+        let (stdout, stderr, ok) = psph(argv);
+        assert!(ok, "{argv:?}: {stderr}");
+        assert!(!stdout.is_empty(), "{argv:?}");
     }
 }
 
@@ -438,6 +464,23 @@ fn serve_rejects_out_of_range_queries() {
         (
             "semisync 1 1 3 1 1 0",
             "the semi-synchronous model needs at least one microround, got 0".into(),
+        ),
+        // used to answer on the budget-2 complex
+        (
+            "async 1 7 3 1",
+            "the crash budget f must be at most n = 2 for 3 processes, got 7".into(),
+        ),
+        (
+            "sync 1 6 3 2 1",
+            "the crash budget f must be at most n = 2 for 3 processes, got 6".into(),
+        ),
+        (
+            "semisync 1 3 3 1 1 2",
+            "the crash budget f must be at most n = 2 for 3 processes, got 3".into(),
+        ),
+        (
+            "byzantine 1 3 3 1",
+            "the Byzantine budget t must be at most n = 2 for 3 processes, got 3".into(),
         ),
     ];
     for (query, expected) in &table {

@@ -21,6 +21,12 @@
 //! All generators are bounded by an explicit `limit` and return `None`
 //! when the space is larger — callers fall back to seeded randomized
 //! schedules beyond the exhaustive regime.
+//!
+//! The synchronous and asynchronous enumerators also feed the
+//! simulator-side view complexes: `ps-runtime`'s `enumerate_sync_views`
+//! and `enumerate_async_views` replay every schedule (with no limit)
+//! through the executors, so the cross-validation against the model
+//! complexes runs on the same schedule spaces as conformance.
 
 use std::collections::{BTreeMap, BTreeSet};
 

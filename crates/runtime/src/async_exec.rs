@@ -8,21 +8,24 @@
 //! full-information protocols their content is subsumed by later states,
 //! so the executor tracks the heard-set structure directly.
 //!
-//! The exhaustive enumerator regenerates `A^r` from executions — the
-//! simulator-side counterpart of `ps-models::AsyncModel`.
+//! The executor is the shared round reactor of `crate::sched` plus this
+//! module's heard-set delivery rule. The exhaustive enumerator replays
+//! every schedule of `ps_models::async_heard_schedules` through it and
+//! regenerates `A^r` from the executions — the simulator-side
+//! counterpart of `ps-models::AsyncModel`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ps_core::{subsets_of_min_size, ProcessId};
-use ps_models::View;
-use ps_topology::{Complex, InternedBuilder};
+use ps_core::ProcessId;
+use ps_models::{async_heard_schedules, View};
+use ps_topology::Complex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::protocol::{FullInformation, RoundProtocol};
-use crate::sched::{Ctl, Reactor, SchedConfig, Scheduler};
-use crate::trace::SyncTrace;
+use crate::sched::{run_rounds, Ctl, DeliveryRule};
+use crate::trace::{final_view_complex, SyncTrace};
 
 /// A round schedule: per participant, the set of participants whose
 /// round-`r` messages it receives during round `r`.
@@ -165,48 +168,25 @@ impl<P: RoundProtocol> AsyncExecutor<P> {
         adversary: &mut dyn AsyncAdversary,
         rounds: usize,
     ) -> SyncTrace<P::State, P::Output> {
-        assert_eq!(inputs.len(), self.n_plus_1, "one input per process");
         assert!(
             participants.len() >= self.min_heard(),
             "too few participants for f = {}",
             self.f
         );
-        let states: BTreeMap<ProcessId, P::State> = participants
-            .iter()
-            .map(|p| {
-                (
-                    *p,
-                    self.protocol
-                        .init(*p, self.n_plus_1, inputs[p.index()].clone()),
-                )
-            })
-            .collect();
-        let mut reactor = AsyncReactor {
-            protocol: &self.protocol,
+        let rule = HeardDelivery {
             adversary,
-            participants,
             min_heard: self.min_heard(),
-            rounds,
-            round: 0,
-            pending: 0,
-            states,
-            trace: SyncTrace::new(),
         };
-        let mut sched = Scheduler::new(
+        let starters = participants.iter().copied();
+        run_rounds(
+            &self.protocol,
             self.n_plus_1,
-            SchedConfig {
-                max_time: u64::MAX,
-                halt_decided: false,
-                log_events: false,
-                stop_after_delivered: None,
-            },
-        );
-        sched.run(&mut reactor);
-        let AsyncReactor {
-            mut trace, states, ..
-        } = reactor;
-        trace.finish(states);
-        trace
+            inputs,
+            starters,
+            rule,
+            rounds,
+        )
+        .0
     }
 
     /// The pre-unification round loop, retained verbatim as the
@@ -273,197 +253,66 @@ impl<P: RoundProtocol> AsyncExecutor<P> {
     }
 }
 
-/// The asynchronous round machine as a scheduler reactor: round `r`
-/// occupies tick `r`; each participant's heard-set messages arrive as
-/// `Deliver` events at tick `r` before its `Step`. All participants
-/// transition every round (decided processes keep stepping, matching
-/// the §6 round structure).
-struct AsyncReactor<'a, P: RoundProtocol> {
-    protocol: &'a P,
+/// The §6 delivery rule: each participant hears the round messages of
+/// its adversary-chosen heard set. Nobody crashes mid-run, so every
+/// participant steps every round (decided processes included).
+struct HeardDelivery<'a> {
     adversary: &'a mut dyn AsyncAdversary,
-    participants: &'a BTreeSet<ProcessId>,
     min_heard: usize,
-    rounds: usize,
-    round: usize,
-    pending: usize,
-    states: BTreeMap<ProcessId, P::State>,
-    trace: SyncTrace<P::State, P::Output>,
 }
 
-impl<P: RoundProtocol> AsyncReactor<'_, P> {
-    fn plan_round(&mut self, ctl: &mut Ctl<'_, P::Msg>) {
-        let round = self.round;
+impl<M: Clone> DeliveryRule<M> for HeardDelivery<'_> {
+    fn deliver(
+        &mut self,
+        round: usize,
+        participants: &BTreeSet<ProcessId>,
+        msgs: &BTreeMap<ProcessId, M>,
+        ctl: &mut Ctl<'_, M>,
+    ) -> Vec<ProcessId> {
         let plan = self
             .adversary
-            .plan_round(round, self.participants, self.min_heard);
-        for p in self.participants {
+            .plan_round(round, participants, self.min_heard);
+        for p in participants {
             let heard = plan
                 .get(p)
                 .unwrap_or_else(|| panic!("adversary gave no heard set for {p}"));
             assert!(heard.contains(p), "heard set must include self");
             assert!(heard.len() >= self.min_heard, "heard set too small");
-            assert!(
-                heard.is_subset(self.participants),
-                "heard set not participants"
-            );
+            assert!(heard.is_subset(participants), "heard set not participants");
         }
-        let msgs: BTreeMap<ProcessId, P::Msg> = self
-            .states
-            .iter()
-            .map(|(p, s)| (*p, self.protocol.message(s)))
-            .collect();
-        let t = round as u64;
-        for p in self.participants {
+        for p in participants {
             for q in &plan[p] {
-                ctl.send(*q, *p, t, msgs[q].clone());
+                ctl.send(*q, *p, round as u64, msgs[q].clone());
             }
         }
-        for p in self.participants {
-            ctl.schedule_step(*p, t);
-        }
-        self.pending = self.participants.len();
+        Vec::new()
     }
 }
 
-impl<P: RoundProtocol> Reactor<P::Msg> for AsyncReactor<'_, P> {
-    fn on_start(&mut self, ctl: &mut Ctl<'_, P::Msg>) {
-        if self.rounds == 0 {
-            return;
-        }
-        self.round = 1;
-        self.plan_round(ctl);
-    }
-
-    fn on_step(
-        &mut self,
-        p: ProcessId,
-        _now: u64,
-        _step: u64,
-        inbox: &[(ProcessId, P::Msg)],
-        ctl: &mut Ctl<'_, P::Msg>,
-    ) {
-        let round = self.round;
-        let inbox_map: BTreeMap<ProcessId, P::Msg> = inbox.iter().cloned().collect();
-        let st = self
-            .protocol
-            .on_round(self.states.remove(&p).unwrap(), &inbox_map, round);
-        self.states.insert(p, st);
-        self.pending -= 1;
-        if self.pending > 0 {
-            return;
-        }
-        self.trace.record_round(self.states.clone());
-        for (q, st) in &self.states {
-            if self.trace.decision(*q).is_none() {
-                if let Some(out) = self.protocol.decide(st, round) {
-                    self.trace.record_decision(*q, round, out);
-                }
-            }
-        }
-        if round >= self.rounds {
-            ctl.halt();
-        } else {
-            self.round = round + 1;
-            self.plan_round(ctl);
-        }
-    }
-}
-
-/// Exhaustively enumerates every §6-structured `rounds`-round execution
-/// of the full-information protocol with the given participants, and
-/// returns the complex of final global states — the simulator-side `A^r`.
+/// Replays every §6-structured `rounds`-round execution of the
+/// full-information protocol with the given participants — each schedule
+/// of [`async_heard_schedules`], through [`AsyncExecutor`] — and returns
+/// the complex of final global states: the simulator-side `A^r`.
 pub fn enumerate_async_views(
     inputs: &[u8],
     participants: &BTreeSet<ProcessId>,
     f: usize,
     rounds: usize,
 ) -> Complex<View<u8>> {
-    let n_plus_1 = inputs.len();
-    let min_heard = n_plus_1.saturating_sub(f);
-    let protocol = FullInformation::new();
-    if participants.len() < min_heard {
+    let exec = AsyncExecutor::new(FullInformation::new(), inputs.len(), f);
+    if participants.len() < exec.min_heard() {
         return Complex::new();
     }
-    let init: BTreeMap<ProcessId, View<u8>> = participants
-        .iter()
-        .map(|p| (*p, protocol.init(*p, n_plus_1, inputs[p.index()])))
-        .collect();
-    // Views intern once into a shared pool; every leaf facet spans the
-    // full participant set, so the facets stay size-uniform and
-    // insertion needs no absorption work (the set dedups repeats).
-    let mut out = InternedBuilder::new();
-    rec(
-        &protocol,
-        init,
-        participants,
-        min_heard,
-        rounds,
-        1,
-        &mut out,
-    );
-    return out.finish();
-
-    fn rec(
-        protocol: &FullInformation,
-        states: BTreeMap<ProcessId, View<u8>>,
-        participants: &BTreeSet<ProcessId>,
-        min_heard: usize,
-        rounds: usize,
-        round: usize,
-        out: &mut InternedBuilder<View<u8>>,
-    ) {
-        if rounds == 0 {
-            out.add_facet_vertices(states.into_values());
-            return;
-        }
-        let procs: Vec<ProcessId> = participants.iter().copied().collect();
-        let choices: Vec<Vec<BTreeSet<ProcessId>>> = procs
-            .iter()
-            .map(|p| {
-                let others: BTreeSet<ProcessId> =
-                    participants.iter().copied().filter(|q| q != p).collect();
-                subsets_of_min_size(&others, min_heard.saturating_sub(1))
-                    .into_iter()
-                    .map(|mut m| {
-                        m.insert(*p);
-                        m
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut idx = vec![0usize; procs.len()];
-        'combos: loop {
-            let mut next = BTreeMap::new();
-            for (i, p) in procs.iter().enumerate() {
-                let inbox: BTreeMap<ProcessId, View<u8>> = choices[i][idx[i]]
-                    .iter()
-                    .map(|q| (*q, states[q].clone()))
-                    .collect();
-                next.insert(*p, protocol.on_round(states[p].clone(), &inbox, round));
-            }
-            rec(
-                protocol,
-                next,
-                participants,
-                min_heard,
-                rounds - 1,
-                round + 1,
-                out,
-            );
-            let mut i = 0;
-            loop {
-                if i == procs.len() {
-                    break 'combos;
-                }
-                idx[i] += 1;
-                if idx[i] < choices[i].len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
-    }
+    let schedules = async_heard_schedules(participants, exec.min_heard(), rounds, usize::MAX)
+        .expect("an unbounded enumeration is complete");
+    final_view_complex(schedules.into_iter().map(|script| {
+        exec.run(
+            inputs,
+            participants,
+            &mut ScriptedHeardSets { script },
+            rounds,
+        )
+    }))
 }
 
 #[cfg(test)]

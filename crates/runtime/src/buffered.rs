@@ -20,7 +20,7 @@ use ps_core::ProcessId;
 
 use crate::async_exec::AsyncAdversary;
 use crate::protocol::RoundProtocol;
-use crate::sched::{Ctl, Reactor, SchedConfig, Scheduler};
+use crate::sched::{run_rounds, Ctl, DeliveryRule};
 use crate::trace::SyncTrace;
 
 /// A delivered batch: all pending messages of one channel, oldest first,
@@ -90,54 +90,28 @@ impl<P: RoundProtocol> BufferedAsyncExecutor<P> {
         adversary: &mut dyn AsyncAdversary,
         rounds: usize,
     ) -> (SyncTrace<P::State, P::Output>, ChannelStats) {
-        assert_eq!(inputs.len(), self.n_plus_1, "one input per process");
         assert!(
             participants.len() >= self.min_heard(),
             "too few participants for f = {}",
             self.f
         );
-        let states: BTreeMap<ProcessId, P::State> = participants
-            .iter()
-            .map(|p| {
-                (
-                    *p,
-                    self.protocol
-                        .init(*p, self.n_plus_1, inputs[p.index()].clone()),
-                )
-            })
-            .collect();
-        let mut reactor = BufferedReactor {
-            protocol: &self.protocol,
+        let rule = FifoDelivery {
             adversary,
-            participants,
             min_heard: self.min_heard(),
-            rounds,
-            round: 0,
-            pending: 0,
-            states,
             queues: BTreeMap::new(),
             stats: ChannelStats::default(),
-            trace: SyncTrace::new(),
         };
-        let mut sched = Scheduler::new(
+        let starters = participants.iter().copied();
+        let (trace, rule) = run_rounds(
+            &self.protocol,
             self.n_plus_1,
-            SchedConfig {
-                max_time: u64::MAX,
-                halt_decided: false,
-                log_events: false,
-                stop_after_delivered: None,
-            },
+            inputs,
+            starters,
+            rule,
+            rounds,
         );
-        sched.run(&mut reactor);
-        let BufferedReactor {
-            mut trace,
-            states,
-            queues,
-            mut stats,
-            ..
-        } = reactor;
-        stats.pending = queues.values().map(|q| q.len() as u64).sum();
-        trace.finish(states);
+        let mut stats = rule.stats;
+        stats.pending = rule.queues.values().map(|q| q.len() as u64).sum();
         (trace, stats)
     }
 
@@ -233,38 +207,32 @@ impl<P: RoundProtocol> BufferedAsyncExecutor<P> {
     }
 }
 
-/// The buffered asynchronous machine as a scheduler reactor: each
-/// round's flushed batches are pushed as `Deliver` events (own message
-/// first, then each heard channel's backlog oldest-first), so the
-/// later-overwrites inbox rule falls out of event order.
-struct BufferedReactor<'a, P: RoundProtocol> {
-    protocol: &'a P,
+/// The §6 FIFO delivery rule: every round message queues on its
+/// channel, and hearing a sender flushes that channel's backlog as
+/// `Deliver` events (own message first, then each heard channel
+/// oldest-first), so the later-overwrites inbox rule falls out of event
+/// order.
+struct FifoDelivery<'a, M> {
     adversary: &'a mut dyn AsyncAdversary,
-    participants: &'a BTreeSet<ProcessId>,
     min_heard: usize,
-    rounds: usize,
-    round: usize,
-    pending: usize,
-    states: BTreeMap<ProcessId, P::State>,
-    queues: ChannelQueues<P::Msg>,
+    queues: ChannelQueues<M>,
     stats: ChannelStats,
-    trace: SyncTrace<P::State, P::Output>,
 }
 
-impl<P: RoundProtocol> BufferedReactor<'_, P> {
-    fn plan_round(&mut self, ctl: &mut Ctl<'_, P::Msg>) {
-        let round = self.round;
+impl<M: Clone> DeliveryRule<M> for FifoDelivery<'_, M> {
+    fn deliver(
+        &mut self,
+        round: usize,
+        participants: &BTreeSet<ProcessId>,
+        msgs: &BTreeMap<ProcessId, M>,
+        ctl: &mut Ctl<'_, M>,
+    ) -> Vec<ProcessId> {
         let plan = self
             .adversary
-            .plan_round(round, self.participants, self.min_heard);
+            .plan_round(round, participants, self.min_heard);
         // enqueue this round's messages on every channel
-        let msgs: BTreeMap<ProcessId, P::Msg> = self
-            .states
-            .iter()
-            .map(|(p, s)| (*p, self.protocol.message(s)))
-            .collect();
-        for src in self.participants {
-            for dst in self.participants {
+        for src in participants {
+            for dst in participants {
                 if src != dst {
                     self.stats.sent += 1;
                     self.queues
@@ -276,7 +244,7 @@ impl<P: RoundProtocol> BufferedReactor<'_, P> {
         }
         // deliveries: heard senders flush their channel FIFO
         let t = round as u64;
-        for q in self.participants {
+        for q in participants {
             let heard = &plan[q];
             assert!(heard.contains(q), "heard set must include self");
             assert!(heard.len() >= self.min_heard, "heard set too small");
@@ -300,58 +268,7 @@ impl<P: RoundProtocol> BufferedReactor<'_, P> {
                 }
             }
         }
-        for q in self.participants {
-            ctl.schedule_step(*q, t);
-        }
-        self.pending = self.participants.len();
-    }
-}
-
-impl<P: RoundProtocol> Reactor<P::Msg> for BufferedReactor<'_, P> {
-    fn on_start(&mut self, ctl: &mut Ctl<'_, P::Msg>) {
-        if self.rounds == 0 {
-            return;
-        }
-        self.round = 1;
-        self.plan_round(ctl);
-    }
-
-    fn on_step(
-        &mut self,
-        p: ProcessId,
-        _now: u64,
-        _step: u64,
-        inbox: &[(ProcessId, P::Msg)],
-        ctl: &mut Ctl<'_, P::Msg>,
-    ) {
-        let round = self.round;
-        // fold in arrival order: later messages overwrite
-        let mut inbox_map: BTreeMap<ProcessId, P::Msg> = BTreeMap::new();
-        for (src, m) in inbox {
-            inbox_map.insert(*src, m.clone());
-        }
-        let st = self
-            .protocol
-            .on_round(self.states[&p].clone(), &inbox_map, round);
-        self.states.insert(p, st);
-        self.pending -= 1;
-        if self.pending > 0 {
-            return;
-        }
-        self.trace.record_round(self.states.clone());
-        for (q, st) in &self.states {
-            if self.trace.decision(*q).is_none() {
-                if let Some(out) = self.protocol.decide(st, round) {
-                    self.trace.record_decision(*q, round, out);
-                }
-            }
-        }
-        if round >= self.rounds {
-            ctl.halt();
-        } else {
-            self.round = round + 1;
-            self.plan_round(ctl);
-        }
+        Vec::new()
     }
 }
 

@@ -4,6 +4,9 @@
 //! lockstep synchronous executor with crash adversaries (§7), a
 //! round-structured asynchronous executor (§6), and a real-time
 //! discrete-event semi-synchronous executor with `c1/c2/d` timing (§8).
+//! All run on one event scheduler ([`sched`]); the synchronous,
+//! asynchronous and FIFO-buffered round executors share one round
+//! reactor and differ only in their delivery rule.
 //!
 //! Two roles:
 //!
@@ -11,11 +14,13 @@
 //!    consensus, `ps-agreement`'s asynchronous protocols, ...) under
 //!    benign, scripted, random, and worst-case adversaries.
 //! 2. **Regenerate protocol complexes from executions**: the exhaustive
-//!    enumerators walk every adversary choice of the paper's
-//!    round-structured execution subsets and collect reachable
-//!    full-information views; integration tests check the result is
-//!    isomorphic to the `ps-models` combinatorial constructions
-//!    (Lemmas 11, 14, 19 made executable).
+//!    synchronous and asynchronous enumerators replay every schedule of
+//!    `ps_models::schedules` (the paper's round-structured execution
+//!    subsets, the spaces `psph conform` runs) through the executors,
+//!    and the Byzantine and dynamic ones walk their adversaries'
+//!    choices; each collects the reachable full-information views, and
+//!    integration tests check the result against the `ps-models`
+//!    combinatorial constructions (Lemmas 11, 14, 19 made executable).
 //!
 //! All executors are deterministic: random adversaries are seeded, event
 //! ties break on (time, kind, sequence).

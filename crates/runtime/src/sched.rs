@@ -21,9 +21,11 @@
 //! `RandomTimedAdversary` drive any of the three models over the same
 //! event stream. The legacy executors (`SyncExecutor`, `AsyncExecutor`,
 //! `BufferedAsyncExecutor`, `TimedExecutor`) are facades over this core
-//! (via [`Reactor`] implementations) producing byte-identical traces —
-//! `tests/runtime_equivalence.rs` pins that against the retained
-//! reference implementations.
+//! producing byte-identical traces — `tests/runtime_equivalence.rs` pins
+//! that against the retained reference implementations. `TimedExecutor`
+//! runs through [`run_policy`]; the three round executors share one
+//! round reactor and differ only in their delivery rule (which round
+//! messages reach whom).
 //!
 //! Invariants are checked on every event, in every mode (they are the
 //! PR-2 proptest properties promoted to always-on checks):
@@ -42,7 +44,9 @@ use std::fmt;
 use ps_core::ProcessId;
 use ps_topology::Label;
 
+use crate::protocol::RoundProtocol;
 use crate::semisync_exec::{TimedAdversary, TimedEvent, TimedParams, TimedProtocol, TimedTrace};
+use crate::trace::SyncTrace;
 
 // ---------------------------------------------------------------------------
 // Event queue
@@ -1045,13 +1049,13 @@ pub fn run_policy_observed<P: TimedProtocol>(
 }
 
 // ---------------------------------------------------------------------------
-// Shared synchronous round kernel
+// Shared round kernel
 // ---------------------------------------------------------------------------
 
 /// Builds each survivor's round inbox from the senders' messages and the
 /// per-crasher recipient choices — the one delivery rule all synchronous
-/// round machinery shares (the executor facade, the exhaustive
-/// execution enumerator, and the view enumerator).
+/// round machinery shares (the executor facade, which the view
+/// enumerator replays, and the exhaustive execution enumerator).
 ///
 /// `msgs` holds the message of every process that broadcasts this round;
 /// survivors receive every surviving sender's message plus each
@@ -1080,6 +1084,165 @@ pub fn round_inboxes<M: Clone>(
             (*s, inbox)
         })
         .collect()
+}
+
+/// Which of a round's messages reach whom: the one part in which the
+/// synchronous, asynchronous and buffered round executors differ.
+pub(crate) trait DeliveryRule<M> {
+    /// Whether the run ends once every live process has decided (the §7
+    /// rule); otherwise every live process steps every round (§6).
+    const HALT_WHEN_DECIDED: bool = false;
+
+    /// Sends round `round`'s deliveries through `ctl` at tick `round`,
+    /// given the live processes and their broadcasts `msgs`, and
+    /// returns the processes that crash this round.
+    fn deliver(
+        &mut self,
+        round: usize,
+        live: &BTreeSet<ProcessId>,
+        msgs: &BTreeMap<ProcessId, M>,
+        ctl: &mut Ctl<'_, M>,
+    ) -> Vec<ProcessId>;
+}
+
+/// The round machine behind every round executor: round `r` occupies
+/// tick `r`, its deliveries arrive as `Deliver` events at tick `r`
+/// (deliveries sort before steps) followed by one `Step` per live
+/// process, and the round's last step records it and its first
+/// decisions, then halts or plans round `r + 1`.
+struct RoundReactor<'a, P: RoundProtocol, D> {
+    protocol: &'a P,
+    rule: D,
+    /// The live processes' states: crashed processes leave the map.
+    states: BTreeMap<ProcessId, P::State>,
+    max_rounds: usize,
+    round: usize,
+    pending: usize,
+    trace: SyncTrace<P::State, P::Output>,
+}
+
+impl<P: RoundProtocol, D: DeliveryRule<P::Msg>> RoundReactor<'_, P, D> {
+    fn plan_round(&mut self, ctl: &mut Ctl<'_, P::Msg>) {
+        let round = self.round;
+        let live: BTreeSet<ProcessId> = self.states.keys().copied().collect();
+        let msgs: BTreeMap<ProcessId, P::Msg> = self
+            .states
+            .iter()
+            .map(|(p, s)| (*p, self.protocol.message(s)))
+            .collect();
+        for p in self.rule.deliver(round, &live, &msgs, ctl) {
+            self.states.remove(&p);
+            self.trace.record_crash(p, round);
+        }
+        if self.states.is_empty() {
+            self.trace.record_round(BTreeMap::new());
+            ctl.halt();
+            return;
+        }
+        for p in self.states.keys() {
+            ctl.schedule_step(*p, round as u64);
+        }
+        self.pending = self.states.len();
+    }
+}
+
+impl<P: RoundProtocol, D: DeliveryRule<P::Msg>> Reactor<P::Msg> for RoundReactor<'_, P, D> {
+    fn on_start(&mut self, ctl: &mut Ctl<'_, P::Msg>) {
+        if self.max_rounds > 0 {
+            self.round = 1;
+            self.plan_round(ctl);
+        }
+    }
+
+    fn on_step(
+        &mut self,
+        p: ProcessId,
+        _now: u64,
+        _step: u64,
+        inbox: &[(ProcessId, P::Msg)],
+        ctl: &mut Ctl<'_, P::Msg>,
+    ) {
+        let round = self.round;
+        // fold in arrival order: a flushed backlog's later messages
+        // overwrite its earlier ones
+        let mut received: BTreeMap<ProcessId, P::Msg> = BTreeMap::new();
+        for (src, m) in inbox {
+            received.insert(*src, m.clone());
+        }
+        let st = self.states.remove(&p).expect("a stepping process is live");
+        self.states
+            .insert(p, self.protocol.on_round(st, &received, round));
+        self.pending -= 1;
+        if self.pending > 0 {
+            return;
+        }
+        self.trace.record_round(self.states.clone());
+        let mut all_decided = true;
+        for (q, st) in &self.states {
+            if self.trace.decision(*q).is_none() {
+                match self.protocol.decide(st, round) {
+                    Some(out) => self.trace.record_decision(*q, round, out),
+                    None => all_decided = false,
+                }
+            }
+        }
+        if (D::HALT_WHEN_DECIDED && all_decided) || round >= self.max_rounds {
+            ctl.halt();
+        } else {
+            self.round = round + 1;
+            self.plan_round(ctl);
+        }
+    }
+}
+
+/// Runs up to `max_rounds` rounds of `protocol` on the scheduler, with
+/// the processes `starters` (process `i` gets `inputs[i]`) and round
+/// deliveries chosen by `rule`. Returns the trace and the rule (the
+/// buffered executor reads its channel statistics back).
+///
+/// # Panics
+///
+/// Panics if `inputs.len() != n_plus_1`.
+pub(crate) fn run_rounds<P: RoundProtocol, D: DeliveryRule<P::Msg>>(
+    protocol: &P,
+    n_plus_1: usize,
+    inputs: &[P::Input],
+    starters: impl IntoIterator<Item = ProcessId>,
+    rule: D,
+    max_rounds: usize,
+) -> (SyncTrace<P::State, P::Output>, D) {
+    assert_eq!(inputs.len(), n_plus_1, "one input per process");
+    let states: BTreeMap<ProcessId, P::State> = starters
+        .into_iter()
+        .map(|p| (p, protocol.init(p, n_plus_1, inputs[p.index()].clone())))
+        .collect();
+    let mut reactor = RoundReactor {
+        protocol,
+        rule,
+        states,
+        max_rounds,
+        round: 0,
+        pending: 0,
+        trace: SyncTrace::new(),
+    };
+    let mut sched = Scheduler::new(
+        n_plus_1,
+        SchedConfig {
+            max_time: u64::MAX,
+            halt_decided: false,
+            log_events: false,
+            stop_after_delivered: None,
+        },
+    );
+    sched.run(&mut reactor);
+    let RoundReactor {
+        mut trace,
+        states,
+        rule,
+        ..
+    } = reactor;
+    trace.finish(states);
+    (trace, rule)
 }
 
 // ---------------------------------------------------------------------------

@@ -2,25 +2,27 @@
 //!
 //! Implements the §7 execution structure message-by-message: in each
 //! round every alive process broadcasts; a crashing process reaches an
-//! adversary-chosen subset of the survivors and then stops. The
-//! *exhaustive* enumerator walks every adversary choice (failure sets per
-//! round within the per-round cap and total budget, and every
-//! recipient subset per crash) and collects the reachable final
+//! adversary-chosen subset of the survivors and then stops. The executor
+//! is the shared round reactor of `crate::sched` plus this module's
+//! crash delivery rule. The *exhaustive* enumerator replays every
+//! schedule of `ps_models::sync_crash_schedules` (failure sets per round
+//! within the per-round cap and total budget, and every recipient subset
+//! per crash) through the executor and collects the reachable final
 //! full-information views — the simulator-side regeneration of the
 //! `ps-models` synchronous protocol complex.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ps_core::{subsets_up_to_size_lex, ProcessId};
-use ps_models::View;
-use ps_topology::{Complex, InternedBuilder};
+use ps_core::ProcessId;
+use ps_models::{sync_crash_schedules, View};
+use ps_topology::Complex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::protocol::{FullInformation, RoundProtocol};
-use crate::sched::{round_inboxes, Ctl, Reactor, SchedConfig, Scheduler};
-use crate::trace::SyncTrace;
+use crate::sched::{round_inboxes, run_rounds, Ctl, DeliveryRule};
+use crate::trace::{final_view_complex, SyncTrace};
 
 /// The adversary's plan for one synchronous round: each crashing process
 /// is mapped to the set of processes that still receive its round
@@ -161,42 +163,20 @@ impl<P: RoundProtocol> SyncExecutor<P> {
         adversary: &mut dyn SyncAdversary,
         max_rounds: usize,
     ) -> SyncTrace<P::State, P::Output> {
-        assert_eq!(inputs.len(), self.n_plus_1, "one input per process");
-        let states: BTreeMap<ProcessId, P::State> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let p = ProcessId(i as u32);
-                (p, self.protocol.init(p, self.n_plus_1, v.clone()))
-            })
-            .collect();
-        let alive: BTreeSet<ProcessId> = states.keys().copied().collect();
-        let mut reactor = SyncReactor {
-            protocol: &self.protocol,
+        let rule = CrashDelivery {
             adversary,
-            states,
-            alive,
             budget: self.f_total,
-            max_rounds,
-            round: 0,
-            pending: 0,
-            trace: SyncTrace::new(),
         };
-        let mut sched = Scheduler::new(
+        let everyone = (0..self.n_plus_1 as u32).map(ProcessId);
+        run_rounds(
+            &self.protocol,
             self.n_plus_1,
-            SchedConfig {
-                max_time: u64::MAX,
-                halt_decided: false,
-                log_events: false,
-                stop_after_delivered: None,
-            },
-        );
-        sched.run(&mut reactor);
-        let SyncReactor {
-            mut trace, states, ..
-        } = reactor;
-        trace.finish(states);
-        trace
+            inputs,
+            everyone,
+            rule,
+            max_rounds,
+        )
+        .0
     }
 
     /// The pre-unification round loop, retained verbatim as the
@@ -286,127 +266,54 @@ impl<P: RoundProtocol> SyncExecutor<P> {
     }
 }
 
-/// The synchronous round machine expressed as a scheduler reactor:
-/// round `r` occupies tick `r`, with the round's deliveries scheduled
-/// at tick `r` (deliveries sort before steps) followed by one step per
-/// survivor. Round `r + 1` is planned inside the round's final step.
-struct SyncReactor<'a, P: RoundProtocol> {
-    protocol: &'a P,
+/// The §7 delivery rule: the adversary's crash plan for the round,
+/// delivered through [`round_inboxes`]; each crasher reaches only its
+/// recipient set and then leaves the run.
+struct CrashDelivery<'a> {
     adversary: &'a mut dyn SyncAdversary,
-    states: BTreeMap<ProcessId, P::State>,
-    alive: BTreeSet<ProcessId>,
     budget: usize,
-    max_rounds: usize,
-    round: usize,
-    pending: usize,
-    trace: SyncTrace<P::State, P::Output>,
 }
 
-impl<P: RoundProtocol> SyncReactor<'_, P> {
-    /// Plans round `self.round`: asks the adversary for failures,
-    /// schedules the round's deliveries and steps, applies crashes.
-    fn plan_round(&mut self, ctl: &mut Ctl<'_, P::Msg>) {
-        let round = self.round;
-        let plan = self.adversary.plan_round(round, &self.alive, self.budget);
+impl<M: Clone> DeliveryRule<M> for CrashDelivery<'_> {
+    const HALT_WHEN_DECIDED: bool = true;
+
+    fn deliver(
+        &mut self,
+        round: usize,
+        alive: &BTreeSet<ProcessId>,
+        msgs: &BTreeMap<ProcessId, M>,
+        ctl: &mut Ctl<'_, M>,
+    ) -> Vec<ProcessId> {
+        let plan = self.adversary.plan_round(round, alive, self.budget);
         for (p, recipients) in &plan.crashes {
-            assert!(self.alive.contains(p), "adversary crashed dead process {p}");
+            assert!(alive.contains(p), "adversary crashed dead process {p}");
             assert!(
-                recipients.iter().all(|q| self.alive.contains(q) && q != p),
+                recipients.iter().all(|q| alive.contains(q) && q != p),
                 "recipients must be alive others"
             );
         }
         assert!(plan.crashes.len() <= self.budget, "failure budget exceeded");
         self.budget -= plan.crashes.len();
-
-        // messages (computed before the crashes take effect)
-        let msgs: BTreeMap<ProcessId, P::Msg> = self
-            .alive
-            .iter()
-            .map(|p| (*p, self.protocol.message(&self.states[p])))
-            .collect();
-        let survivors: BTreeSet<ProcessId> = self
-            .alive
+        let survivors: BTreeSet<ProcessId> = alive
             .iter()
             .copied()
             .filter(|p| !plan.crashes.contains_key(p))
             .collect();
         let crashers: Vec<(ProcessId, &BTreeSet<ProcessId>)> =
             plan.crashes.iter().map(|(p, r)| (*p, r)).collect();
-        let t = round as u64;
-        for (q, inbox) in round_inboxes(&msgs, &survivors, &crashers) {
+        for (q, inbox) in round_inboxes(msgs, &survivors, &crashers) {
             for (src, m) in inbox {
-                ctl.send(src, q, t, m);
+                ctl.send(src, q, round as u64, m);
             }
         }
-
-        // crashes take effect
-        for (p, _) in plan.crashes.iter() {
-            self.alive.remove(p);
-            self.states.remove(p);
-            self.trace.record_crash(*p, round);
-        }
-
-        if self.alive.is_empty() {
-            self.trace.record_round(self.states.clone());
-            ctl.halt();
-            return;
-        }
-        for q in self.alive.iter() {
-            ctl.schedule_step(*q, t);
-        }
-        self.pending = self.alive.len();
+        plan.crashes.into_keys().collect()
     }
 }
 
-impl<P: RoundProtocol> Reactor<P::Msg> for SyncReactor<'_, P> {
-    fn on_start(&mut self, ctl: &mut Ctl<'_, P::Msg>) {
-        if self.max_rounds == 0 {
-            return;
-        }
-        self.round = 1;
-        self.plan_round(ctl);
-    }
-
-    fn on_step(
-        &mut self,
-        p: ProcessId,
-        _now: u64,
-        _step: u64,
-        inbox: &[(ProcessId, P::Msg)],
-        ctl: &mut Ctl<'_, P::Msg>,
-    ) {
-        let round = self.round;
-        let inbox_map: BTreeMap<ProcessId, P::Msg> = inbox.iter().cloned().collect();
-        let st = self.states.remove(&p).unwrap();
-        let st = self.protocol.on_round(st, &inbox_map, round);
-        self.states.insert(p, st);
-        self.pending -= 1;
-        if self.pending > 0 {
-            return;
-        }
-        // round complete: record, decide, plan the next round
-        self.trace.record_round(self.states.clone());
-        let mut all_decided = true;
-        for (q, st) in &self.states {
-            if self.trace.decision(*q).is_none() {
-                match self.protocol.decide(st, round) {
-                    Some(out) => self.trace.record_decision(*q, round, out),
-                    None => all_decided = false,
-                }
-            }
-        }
-        if all_decided || round >= self.max_rounds {
-            ctl.halt();
-        } else {
-            self.round = round + 1;
-            self.plan_round(ctl);
-        }
-    }
-}
-
-/// Exhaustively enumerates every §7-structured execution of the
-/// full-information protocol and returns the complex of reachable final
-/// global states — the simulator-side `S^r` (cross-checked against
+/// Replays every §7-structured execution of the full-information
+/// protocol — each schedule of [`sync_crash_schedules`], through
+/// [`SyncExecutor`] — and returns the complex of reachable final global
+/// states: the simulator-side `S^r` (cross-checked against
 /// `ps-models::SyncModel::protocol_complex` in the integration tests).
 pub fn enumerate_sync_views(
     inputs: &[u8],
@@ -414,93 +321,17 @@ pub fn enumerate_sync_views(
     f_total: usize,
     rounds: usize,
 ) -> Complex<View<u8>> {
-    let protocol = FullInformation::new();
     let n_plus_1 = inputs.len();
-    let init: BTreeMap<ProcessId, View<u8>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            let p = ProcessId(i as u32);
-            (p, protocol.init(p, n_plus_1, *v))
-        })
-        .collect();
-    // Leaf facets vary in dimension (crash sets shrink the alive set),
-    // so absorption is still needed — but it runs on interned ids with
-    // each view hashed into the pool exactly once.
-    let mut out = InternedBuilder::new();
-    enumerate_rec(&protocol, init, k_per_round, f_total, rounds, 1, &mut out);
-    out.finish()
-}
-
-fn enumerate_rec(
-    protocol: &FullInformation,
-    states: BTreeMap<ProcessId, View<u8>>,
-    k_per_round: usize,
-    budget: usize,
-    rounds: usize,
-    round: usize,
-    out: &mut InternedBuilder<View<u8>>,
-) {
-    if rounds == 0 {
-        if !states.is_empty() {
-            out.add_facet_vertices(states.into_values());
-        }
-        return;
-    }
-    let alive: BTreeSet<ProcessId> = states.keys().copied().collect();
-    let cap = k_per_round.min(budget);
-    for crash_set in subsets_up_to_size_lex(&alive, cap) {
-        let survivors: BTreeSet<ProcessId> = alive.difference(&crash_set).copied().collect();
-        if survivors.is_empty() {
-            continue;
-        }
-        // sender-side enumeration: for each crashing process, every
-        // subset of survivors as recipients
-        let crashing: Vec<ProcessId> = crash_set.iter().copied().collect();
-        let recipient_choices: Vec<Vec<BTreeSet<ProcessId>>> = crashing
-            .iter()
-            .map(|_| subsets_up_to_size_lex(&survivors, survivors.len()))
+    let exec = SyncExecutor::new(FullInformation::new(), n_plus_1, f_total);
+    let schedules = sync_crash_schedules(n_plus_1, k_per_round, f_total, rounds, usize::MAX)
+        .expect("an unbounded enumeration is complete");
+    final_view_complex(schedules.into_iter().map(|schedule| {
+        let script = schedule
+            .into_iter()
+            .map(|crashes| RoundFailures { crashes })
             .collect();
-        let mut idx = vec![0usize; crashing.len()];
-        'combos: loop {
-            // build inboxes (full information: message = state)
-            let crasher_recips: Vec<(ProcessId, &BTreeSet<ProcessId>)> = crashing
-                .iter()
-                .enumerate()
-                .map(|(ci, c)| (*c, &recipient_choices[ci][idx[ci]]))
-                .collect();
-            let inboxes = round_inboxes(&states, &survivors, &crasher_recips);
-            let next: BTreeMap<ProcessId, View<u8>> = survivors
-                .iter()
-                .map(|s| (*s, protocol.on_round(states[s].clone(), &inboxes[s], round)))
-                .collect();
-            enumerate_rec(
-                protocol,
-                next,
-                k_per_round,
-                budget - crash_set.len(),
-                rounds - 1,
-                round + 1,
-                out,
-            );
-            // odometer over recipient subsets of all crashing processes
-            if crashing.is_empty() {
-                break 'combos;
-            }
-            let mut i = 0;
-            loop {
-                if i == crashing.len() {
-                    break 'combos;
-                }
-                idx[i] += 1;
-                if idx[i] < recipient_choices[i].len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
-    }
+        exec.run(inputs, &mut ScriptedAdversary { script }, rounds)
+    }))
 }
 
 #[cfg(test)]

@@ -5,14 +5,16 @@
 //!
 //! Experiments E3 and E7 of EXPERIMENTS.md.
 
-use pseudosphere::core::process_set;
+use std::collections::BTreeSet;
+
+use pseudosphere::core::{process_set, ProcessId};
 use pseudosphere::models::{
     input_simplex, AsyncModel, ByzantineModel, DynamicModel, GraphFamily, SyncModel,
 };
 use pseudosphere::runtime::{
     enumerate_async_views, enumerate_byzantine_views, enumerate_dynamic_views, enumerate_sync_views,
 };
-use pseudosphere::topology::are_isomorphic;
+use pseudosphere::topology::{are_isomorphic, Simplex};
 
 #[test]
 fn async_one_round_simulator_matches_model() {
@@ -42,6 +44,23 @@ fn async_two_round_simulator_matches_model() {
     let from_model = model.protocol_complex(&input, 2);
     let from_sim = enumerate_async_views(&[0, 1], &process_set(2), 1, 2);
     assert_eq!(from_model, from_sim);
+}
+
+#[test]
+fn async_participant_subset_simulator_matches_model() {
+    // only P0 and P1 of n+1 = 3 take part (P2 crashes before sending):
+    // the model builds on the input face {P0, P1}
+    let participants: BTreeSet<ProcessId> = [ProcessId(0), ProcessId(1)].into();
+    let face = Simplex::new(vec![(ProcessId(0), 0u8), (ProcessId(1), 1u8)]);
+    for f in [1, 2] {
+        let model = AsyncModel::new(3, f);
+        for rounds in [1, 2] {
+            let from_model = model.protocol_complex(&face, rounds);
+            let from_sim = enumerate_async_views(&[0, 1, 2], &participants, f, rounds);
+            assert!(from_sim.facet_count() > 0, "f = {f}, r = {rounds}");
+            assert_eq!(from_model, from_sim, "f = {f}, r = {rounds}");
+        }
+    }
 }
 
 #[test]
@@ -91,6 +110,16 @@ fn sync_two_round_budget_two() {
     let input = input_simplex(&[0u8, 1, 2]);
     let from_model = model.protocol_complex(&input, 2);
     let from_sim = enumerate_sync_views(&[0, 1, 2], 1, 2, 2);
+    assert_eq!(from_model, from_sim);
+}
+
+#[test]
+fn sync_wait_free_two_rounds_matches_model() {
+    // k_per_round = f = n = 2: two processes may crash in one round
+    let model = SyncModel::new(3, 2, 2);
+    let input = input_simplex(&[0u8, 1, 2]);
+    let from_model = model.protocol_complex(&input, 2);
+    let from_sim = enumerate_sync_views(&[0, 1, 2], 2, 2, 2);
     assert_eq!(from_model, from_sim);
 }
 
