@@ -298,12 +298,21 @@ fn describe(point: &SweepPoint) -> (&'static str, usize, usize, usize, String, u
 /// Runs the solver sweep on `points`, then checks each verdict against
 /// protocol executions. Points are processed with `threads` workers
 /// (deterministic output order).
+///
+/// # Panics
+///
+/// Panics with [`SweepPoint::check`]'s message if a point fails it,
+/// before any point is solved or executed: such a point has no builder
+/// output to be checked against.
 pub fn conformance_check(
     points: &[SweepPoint],
     threads: usize,
     opts: SweepOptions,
     cfg: &ConformConfig,
 ) -> ConformReport {
+    if let Err(e) = points.iter().try_for_each(SweepPoint::check) {
+        panic!("{e}");
+    }
     let verdicts = solvability_sweep_shared_opts(points, threads, opts);
     let jobs: Vec<(SweepPoint, bool)> = points
         .iter()
@@ -746,6 +755,33 @@ mod tests {
         assert!(report.all_ok(), "{}", report.table());
         assert!(!report.points[0].solvable, "async k=f=1 is impossible");
         assert!(report.points[1].solvable, "async k=2>f=1 is solvable");
+    }
+
+    fn async_n3_with_budget(f: usize) -> ConformReport {
+        let point = SweepPoint::Async {
+            k: 1,
+            f,
+            n_plus_1: 3,
+            rounds: 1,
+        };
+        conformance_check(
+            &[point],
+            1,
+            SweepOptions::default(),
+            &ConformConfig::default(),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "the crash budget f must be at most n = 2 for 3 processes")]
+    fn budget_equal_to_process_count_is_refused() {
+        async_n3_with_budget(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "the crash budget f must be at most n = 2 for 3 processes")]
+    fn budget_above_process_count_is_refused() {
+        async_n3_with_budget(4);
     }
 
     #[test]

@@ -133,7 +133,7 @@ fn close_with_cap(gens: &[Perm], n: usize, cap: usize) -> Vec<Perm> {
 ///
 /// `proc_gens` are the model's process-permutation generators (image
 /// tables respecting the failure pattern, e.g.
-/// `SyncModel::process_symmetries`); `values` is the input alphabet.
+/// `ps_models::process_transpositions`); `values` is the input alphabet.
 /// While `group size × facet count` stays within a fixed validation
 /// budget, both sides are closed into their generated groups (so the
 /// solver sees whole point stabilizers, not just transpositions), every

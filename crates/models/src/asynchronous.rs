@@ -14,15 +14,17 @@
 //! simplex of the one-round complex with the `(r−1)`-round complex on it.
 //! Because `A^{r−1}(T') ⊆ A^{r−1}(T)` whenever `T'` is a face of `T`
 //! (the heard-set families are monotone in the participant set), the
-//! union over *all* simplexes equals the union over facets; the
-//! implementation recurses over facets and a test
+//! union over *all* simplexes equals the union over facets. This module
+//! supplies the one member of a round; the crate's shared round
+//! unfolding recurses over its facets, and a test
 //! (`all_simplexes_union_equals_facet_union`) checks the equivalence.
 
 use std::collections::BTreeSet;
 
 use ps_core::{subsets_of_min_size, ProcessId, Pseudosphere, PseudosphereUnion};
-use ps_topology::{for_each_product, Complex, InternedBuilder, Label, Simplex};
+use ps_topology::{Complex, InternedBuilder, Label, Simplex};
 
+use crate::unfold::{unfold, Member, Round};
 use crate::view::{input_views, InputSimplex, View};
 
 /// Parameters of the asynchronous model: `n_plus_1` processes total, at
@@ -101,7 +103,7 @@ impl AsyncModel {
     /// The explicit one-round protocol complex `A¹(input)` with
     /// full-information views as vertex labels.
     pub fn one_round_complex<I: Label>(&self, input: &InputSimplex<I>) -> Complex<View<I>> {
-        self.round_complex(&input_views(input), 1)
+        self.protocol_complex(input, 1)
     }
 
     /// The explicit `r`-round protocol complex `A^r(input)`.
@@ -110,7 +112,11 @@ impl AsyncModel {
         input: &InputSimplex<I>,
         rounds: usize,
     ) -> Complex<View<I>> {
-        self.round_complex(&input_views(input), rounds)
+        // Accumulate the whole recursion into one interned builder:
+        // views are interned once and branch absorption runs on ids.
+        let mut out = InternedBuilder::new();
+        self.protocol_complex_into(input, rounds, &mut out);
+        out.finish()
     }
 
     /// Accumulates `A^r(input)` into a caller-supplied interned builder,
@@ -123,41 +129,8 @@ impl AsyncModel {
         rounds: usize,
         out: &mut InternedBuilder<View<I>>,
     ) {
-        self.round_into(&input_views(input), rounds, out);
-    }
-
-    /// Internal recursion on simplexes whose vertices are already views.
-    fn round_complex<I: Label>(&self, state: &Simplex<View<I>>, rounds: usize) -> Complex<View<I>> {
-        // Accumulate the whole recursion into one interned builder:
-        // views are interned once and branch absorption runs on ids.
-        let mut out = InternedBuilder::new();
-        self.round_into(state, rounds, &mut out);
-        out.finish()
-    }
-
-    fn round_into<I: Label>(
-        &self,
-        state: &Simplex<View<I>>,
-        rounds: usize,
-        out: &mut InternedBuilder<View<I>>,
-    ) {
-        if state.len() < self.min_heard() {
-            return;
-        }
-        if rounds == 0 {
-            out.add_facet(state);
-            return;
-        }
-        // one round: each process independently hears a set of ≥ n+1-f
-        // participants (including itself)
-        let options = self.round_options(state);
-        if rounds == 1 {
-            out.add_pseudosphere(options);
-        } else {
-            for_each_product(&options, |facet| {
-                let next = Simplex::new(facet.iter().map(|v| (*v).clone()).collect());
-                self.round_into(&next, rounds - 1, out);
-            });
+        if self.can_participate(input) {
+            unfold(self, &input_views(input), 0, rounds, out);
         }
     }
 
@@ -168,9 +141,6 @@ impl AsyncModel {
         let senders: Vec<&View<I>> = state.vertices().iter().collect();
         let ids: BTreeSet<ProcessId> = senders.iter().map(|v| v.process()).collect();
         assert_eq!(ids.len(), senders.len(), "duplicate process in state");
-        if ids.len() < self.min_heard() {
-            return Vec::new();
-        }
         let view_of =
             |p: &ProcessId| -> &View<I> { senders.iter().find(|v| v.process() == *p).unwrap() };
         senders
@@ -218,67 +188,18 @@ impl AsyncModel {
         rounds: usize,
     ) -> PseudosphereUnion<ProcessId, View<I>> {
         let mut union = PseudosphereUnion::new();
-        let start = input_views(input);
-        if start.len() < self.min_heard() {
-            return union;
+        if self.can_participate(input) {
+            unfold(self, &input_views(input), 0, rounds, &mut union);
         }
-        self.symbolic_rec(&start, rounds, &mut union);
         union
     }
+}
 
-    fn symbolic_rec<I: Label>(
-        &self,
-        state: &Simplex<View<I>>,
-        rounds: usize,
-        out: &mut PseudosphereUnion<ProcessId, View<I>>,
-    ) {
-        if rounds == 0 {
-            // degenerate pseudosphere: each process's family is the
-            // singleton containing its final view
-            let base = Simplex::new(state.vertices().iter().map(|v| v.process()).collect());
-            let families = state
-                .vertices()
-                .iter()
-                .map(|v| (v.process(), [v.clone()].into_iter().collect()))
-                .collect();
-            out.push(Pseudosphere::new(base, families).expect("families cover base"));
-            return;
-        }
-        if rounds == 1 {
-            // one more round: the Lemma 11 pseudosphere with view values
-            let base = Simplex::new(state.vertices().iter().map(|v| v.process()).collect());
-            let ids: BTreeSet<ProcessId> = state.vertices().iter().map(|v| v.process()).collect();
-            let view_of = |p: ProcessId| -> &View<I> {
-                state.vertices().iter().find(|v| v.process() == p).unwrap()
-            };
-            let families = state
-                .vertices()
-                .iter()
-                .map(|v| {
-                    let me = v.process();
-                    let others: BTreeSet<ProcessId> =
-                        ids.iter().copied().filter(|q| *q != me).collect();
-                    let fam: BTreeSet<View<I>> =
-                        subsets_of_min_size(&others, self.min_heard().saturating_sub(1))
-                            .into_iter()
-                            .map(|mut m| {
-                                m.insert(me);
-                                View::Round {
-                                    process: me,
-                                    heard: m.iter().map(|q| (*q, view_of(*q).clone())).collect(),
-                                }
-                            })
-                            .collect();
-                    (me, fam)
-                })
-                .collect();
-            out.push(Pseudosphere::new(base, families).expect("families cover base"));
-            return;
-        }
-        for_each_product(&self.round_options(state), |facet| {
-            let next = Simplex::new(facet.iter().map(|v| (*v).clone()).collect());
-            self.symbolic_rec(&next, rounds - 1, out);
-        });
+/// Lemma 11's round: a single member, spending no crash budget (no
+/// process crashes in a well-behaved asynchronous round).
+impl<I: Label> Round<View<I>> for AsyncModel {
+    fn members(&self, state: &Simplex<View<I>>, _: usize) -> impl Iterator<Item = Member<View<I>>> {
+        std::iter::once((self.round_options(state), 0))
     }
 }
 
@@ -389,7 +310,7 @@ mod tests {
             if face.is_empty() {
                 continue;
             }
-            let c = model.round_complex(&input_views(&face), 1);
+            let c = model.one_round_complex(&face);
             let an = ConnectivityAnalyzer::new(&c);
             let m = face.dim();
             assert!(
@@ -447,7 +368,9 @@ mod tests {
         let mut full = Complex::new();
         for layer in a1.all_simplices() {
             for t in layer {
-                full = full.union(&model.round_complex(&t, 1));
+                let mut round = InternedBuilder::new();
+                unfold(&model, &t, 0, 1, &mut round);
+                full = full.union(&round.finish());
             }
         }
         assert_eq!(facet_union, full);

@@ -17,8 +17,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ps_core::{subsets_up_to_size_lex, ProcessId, Pseudosphere, PseudosphereUnion};
-use ps_topology::{for_each_product, Complex, InternedBuilder, Label, Simplex};
+use ps_topology::{Complex, InternedBuilder, Label, Simplex};
 
+use crate::unfold::{unfold, Member, Round};
 use crate::view::{ss_input_views, InputSimplex, SsView};
 
 /// A failure pattern `F : K → microround`, values in `1..=p`.
@@ -260,7 +261,11 @@ impl SemiSyncModel {
         input: &InputSimplex<I>,
         rounds: usize,
     ) -> Complex<SsView<I>> {
-        self.rec(&ss_input_views(input), self.f_total, rounds)
+        // Accumulate the whole execution tree into one interned builder:
+        // views are interned once and branch absorption runs on ids.
+        let mut out = InternedBuilder::new();
+        self.protocol_complex_into(input, rounds, &mut out);
+        out.finish()
     }
 
     /// Accumulates `M^r(input)` into a caller-supplied interned builder,
@@ -273,51 +278,7 @@ impl SemiSyncModel {
         rounds: usize,
         out: &mut InternedBuilder<SsView<I>>,
     ) {
-        self.rec_into(&ss_input_views(input), self.f_total, rounds, out);
-    }
-
-    fn rec<I: Label>(
-        &self,
-        state: &Simplex<SsView<I>>,
-        budget: usize,
-        rounds: usize,
-    ) -> Complex<SsView<I>> {
-        // Accumulate the whole execution tree into one interned builder:
-        // views are interned once and branch absorption runs on ids.
-        let mut out = InternedBuilder::new();
-        self.rec_into(state, budget, rounds, &mut out);
-        out.finish()
-    }
-
-    fn rec_into<I: Label>(
-        &self,
-        state: &Simplex<SsView<I>>,
-        budget: usize,
-        rounds: usize,
-        out: &mut InternedBuilder<SsView<I>>,
-    ) {
-        if state.is_empty() {
-            return;
-        }
-        if rounds == 0 {
-            out.add_facet(state);
-            return;
-        }
-        let ids: BTreeSet<ProcessId> = state.vertices().iter().map(|v| v.process()).collect();
-        let cap = self.k_per_round.min(budget);
-        for k_set in subsets_up_to_size_lex(&ids, cap) {
-            for pattern in self.failure_patterns(&k_set) {
-                let options = self.round_options(state, &k_set, &pattern);
-                if rounds == 1 {
-                    out.add_pseudosphere(options);
-                } else {
-                    for_each_product(&options, |facet| {
-                        let next = Simplex::new(facet.iter().map(|v| (*v).clone()).collect());
-                        self.rec_into(&next, budget - k_set.len(), rounds - 1, out);
-                    });
-                }
-            }
-        }
+        unfold(self, &ss_input_views(input), self.f_total, rounds, out);
     }
 
     /// One semi-synchronous round on a simplex of views, as the slots of
@@ -370,6 +331,26 @@ impl SemiSyncModel {
     /// The hypothesis `n ≥ (r+1)k` of Lemma 21.
     pub fn lemma21_applies(&self, rounds: usize) -> bool {
         self.n_plus_1 as i32 > (rounds as i32 + 1) * self.k_per_round as i32
+    }
+}
+
+/// Lemma 19's round: one member per failure set `K` of at most
+/// `min(k, budget)` processes (by size, then lexicographically) and per
+/// failure pattern `F` of `K` (reverse lexicographically).
+impl<I: Label> Round<SsView<I>> for SemiSyncModel {
+    fn members(
+        &self,
+        state: &Simplex<SsView<I>>,
+        budget: usize,
+    ) -> impl Iterator<Item = Member<SsView<I>>> {
+        let ids: BTreeSet<ProcessId> = state.vertices().iter().map(|v| v.process()).collect();
+        subsets_up_to_size_lex(&ids, self.k_per_round.min(budget))
+            .into_iter()
+            .flat_map(move |k_set| {
+                self.failure_patterns(&k_set)
+                    .into_iter()
+                    .map(move |pattern| (self.round_options(state, &k_set, &pattern), k_set.len()))
+            })
     }
 }
 

@@ -3,15 +3,19 @@
 //! A process permutation `ρ` is a symmetry of a model when relabeling
 //! every execution by `ρ` yields exactly the executions of the same
 //! model — equivalently, when `ρ` maps the model's set of allowed
-//! failure patterns onto itself. All three models in this crate bound
-//! failures *uniformly* (a global per-round cap `k` and a global
-//! total budget `f`, never per-process budgets), so **every**
-//! permutation of the participants qualifies, and the transpositions
-//! returned here generate the full symmetric group. A model variant
-//! with per-process reliability would instead return only the
-//! budget-preserving permutations; downstream consumers must not
-//! assume the generated group is all of `S_{n+1}`, only that each
-//! returned table is a certified symmetry.
+//! failure patterns onto itself. Every model in this crate is
+//! process-anonymous: the crash models bound failures *uniformly* (a
+//! global per-round cap `k` and a global total budget `f`, never
+//! per-process budgets), semi-synchronous timing bounds are the same
+//! for every sender-receiver pair, the Byzantine adversary may corrupt
+//! *any* `t` processes, and both dynamic graph families are defined by
+//! reachability over all vertices. So **every** permutation of the
+//! participants qualifies, and the transpositions returned here
+//! generate the full symmetric group. A model variant with per-process
+//! reliability would instead need only the budget-preserving
+//! permutations; downstream consumers must not assume the generated
+//! group is all of `S_{n+1}`, only that each returned table is a
+//! certified symmetry.
 //!
 //! Generators are returned as raw image tables (`table[p]` is the
 //! image of process `p`) so this crate stays independent of the
@@ -19,8 +23,6 @@
 //! to vertex permutations of interned protocol complexes.
 
 use ps_core::ProcessId;
-
-use crate::{AsyncModel, ByzantineModel, DynamicModel, SemiSyncModel, SyncModel};
 
 /// Image tables of all transpositions `(i j)` of `0..n_plus_1`
 /// processes — generators of the full symmetric group.
@@ -36,63 +38,11 @@ pub fn process_transpositions(n_plus_1: usize) -> Vec<Vec<ProcessId>> {
     out
 }
 
-impl SyncModel {
-    /// Generators of the process permutations preserving this model's
-    /// failure patterns. The synchronous adversary is parameterized
-    /// only by the uniform caps `k_per_round` and `f_total`, so the
-    /// full symmetric group applies.
-    pub fn process_symmetries(&self) -> Vec<Vec<ProcessId>> {
-        process_transpositions(self.n_plus_1)
-    }
-}
-
-impl AsyncModel {
-    /// Generators of the process permutations preserving this model's
-    /// failure patterns. The asynchronous adversary may silence any
-    /// `f` of the `n_plus_1` processes, a process-anonymous
-    /// condition, so the full symmetric group applies.
-    pub fn process_symmetries(&self) -> Vec<Vec<ProcessId>> {
-        process_transpositions(self.n_plus_1)
-    }
-}
-
-impl SemiSyncModel {
-    /// Generators of the process permutations preserving this model's
-    /// failure patterns. Timing bounds (`microrounds`) constrain
-    /// *when* messages arrive, identically for every sender-receiver
-    /// pair, and crash budgets are uniform, so the full symmetric
-    /// group applies.
-    pub fn process_symmetries(&self) -> Vec<Vec<ProcessId>> {
-        process_transpositions(self.n_plus_1)
-    }
-}
-
-impl ByzantineModel {
-    /// Generators of the process permutations preserving this model's
-    /// failure patterns. The Byzantine adversary may corrupt *any* set
-    /// of at most `t` processes and the equivocation menus are derived
-    /// uniformly from state, so the full symmetric group applies.
-    pub fn process_symmetries(&self) -> Vec<Vec<ProcessId>> {
-        process_transpositions(self.n_plus_1)
-    }
-}
-
-impl DynamicModel {
-    /// Generators of the process permutations preserving this model's
-    /// graph families. Both `Rooted` and `StronglyConnected` are
-    /// defined by reachability conditions quantified over all vertices,
-    /// hence closed under relabeling the vertices, so the full
-    /// symmetric group applies.
-    pub fn process_symmetries(&self) -> Vec<Vec<ProcessId>> {
-        process_transpositions(self.n_plus_1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::view::input_simplex;
-    use crate::GraphFamily;
+    use crate::{AsyncModel, ByzantineModel, DynamicModel, GraphFamily, SemiSyncModel, SyncModel};
 
     #[test]
     fn transposition_tables_are_bijections() {
@@ -105,16 +55,6 @@ mod tests {
                 seen[p.0 as usize] = true;
             }
         }
-        assert_eq!(SyncModel::new(4, 1, 1).process_symmetries().len(), 6);
-        assert_eq!(AsyncModel::new(3, 1).process_symmetries().len(), 3);
-        assert_eq!(SemiSyncModel::new(3, 1, 1, 2).process_symmetries().len(), 3);
-        assert_eq!(ByzantineModel::new(4, 1).process_symmetries().len(), 6);
-        assert_eq!(
-            DynamicModel::new(3, GraphFamily::Rooted)
-                .process_symmetries()
-                .len(),
-            3
-        );
     }
 
     #[test]

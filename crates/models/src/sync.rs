@@ -19,8 +19,9 @@
 use std::collections::BTreeSet;
 
 use ps_core::{subsets_up_to_size_lex, ProcessId, Pseudosphere, PseudosphereUnion};
-use ps_topology::{for_each_product, Complex, InternedBuilder, Label, Simplex};
+use ps_topology::{Complex, InternedBuilder, Label, Simplex};
 
+use crate::unfold::{unfold, Member, Round};
 use crate::view::{input_views, InputSimplex, View};
 
 /// Parameters of the synchronous model.
@@ -169,36 +170,7 @@ impl SyncModel {
         rounds: usize,
         out: &mut InternedBuilder<View<I>>,
     ) {
-        self.rec_into(&input_views(input), self.f_total, rounds, out);
-    }
-
-    fn rec_into<I: Label>(
-        &self,
-        state: &Simplex<View<I>>,
-        budget: usize,
-        rounds: usize,
-        out: &mut InternedBuilder<View<I>>,
-    ) {
-        if state.is_empty() {
-            return;
-        }
-        if rounds == 0 {
-            out.add_facet(state);
-            return;
-        }
-        let ids: BTreeSet<ProcessId> = state.vertices().iter().map(|v| v.process()).collect();
-        let cap = self.k_per_round.min(budget);
-        for failure_set in subsets_up_to_size_lex(&ids, cap) {
-            let options = self.round_options(state, &failure_set);
-            if rounds == 1 {
-                out.add_pseudosphere(options);
-            } else {
-                for_each_product(&options, |facet| {
-                    let next = Simplex::new(facet.iter().map(|v| (*v).clone()).collect());
-                    self.rec_into(&next, budget - failure_set.len(), rounds - 1, out);
-                });
-            }
-        }
+        unfold(self, &input_views(input), self.f_total, rounds, out);
     }
 
     /// One synchronous round on a simplex of views with failure set `K`,
@@ -271,78 +243,23 @@ impl SyncModel {
         rounds: usize,
     ) -> PseudosphereUnion<ProcessId, View<I>> {
         let mut union = PseudosphereUnion::new();
-        self.symbolic_rec(&input_views(input), self.f_total, rounds, &mut union);
+        unfold(self, &input_views(input), self.f_total, rounds, &mut union);
         union
     }
+}
 
-    fn symbolic_rec<I: Label>(
+/// Lemma 14's round: one member per failure set `K` of at most
+/// `min(k, budget)` processes, ordered by size, then lexicographically.
+impl<I: Label> Round<View<I>> for SyncModel {
+    fn members(
         &self,
         state: &Simplex<View<I>>,
         budget: usize,
-        rounds: usize,
-        out: &mut PseudosphereUnion<ProcessId, View<I>>,
-    ) {
-        if state.is_empty() {
-            return;
-        }
-        if rounds == 0 {
-            let base = Simplex::new(state.vertices().iter().map(|v| v.process()).collect());
-            let families = state
-                .vertices()
-                .iter()
-                .map(|v| (v.process(), [v.clone()].into_iter().collect()))
-                .collect();
-            out.push(Pseudosphere::new(base, families).expect("families cover base"));
-            return;
-        }
+    ) -> impl Iterator<Item = Member<View<I>>> {
         let ids: BTreeSet<ProcessId> = state.vertices().iter().map(|v| v.process()).collect();
-        let cap = self.k_per_round.min(budget);
-        for failure_set in subsets_up_to_size_lex(&ids, cap) {
-            if rounds == 1 {
-                // final round: the Lemma 14 pseudosphere with view values
-                let survivors: Vec<&View<I>> = state
-                    .vertices()
-                    .iter()
-                    .filter(|v| !failure_set.contains(&v.process()))
-                    .collect();
-                if survivors.is_empty() {
-                    continue;
-                }
-                let survivor_ids: BTreeSet<ProcessId> =
-                    survivors.iter().map(|v| v.process()).collect();
-                let base = Simplex::new(survivor_ids.iter().copied().collect());
-                let view_of = |p: ProcessId| -> &View<I> {
-                    state.vertices().iter().find(|v| v.process() == p).unwrap()
-                };
-                let families = survivors
-                    .iter()
-                    .map(|v| {
-                        let fam: BTreeSet<View<I>> =
-                            subsets_up_to_size_lex(&failure_set, failure_set.len())
-                                .into_iter()
-                                .map(|l| {
-                                    let heard: BTreeSet<ProcessId> =
-                                        survivor_ids.union(&l).copied().collect();
-                                    View::Round {
-                                        process: v.process(),
-                                        heard: heard
-                                            .iter()
-                                            .map(|q| (*q, view_of(*q).clone()))
-                                            .collect(),
-                                    }
-                                })
-                                .collect();
-                        (v.process(), fam)
-                    })
-                    .collect();
-                out.push(Pseudosphere::new(base, families).expect("families cover base"));
-            } else {
-                for_each_product(&self.round_options(state, &failure_set), |facet| {
-                    let next = Simplex::new(facet.iter().map(|v| (*v).clone()).collect());
-                    self.symbolic_rec(&next, budget - failure_set.len(), rounds - 1, out);
-                });
-            }
-        }
+        subsets_up_to_size_lex(&ids, self.k_per_round.min(budget))
+            .into_iter()
+            .map(move |failure_set| (self.round_options(state, &failure_set), failure_set.len()))
     }
 }
 

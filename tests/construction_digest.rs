@@ -12,14 +12,19 @@
 //! view tree (process, input, heard keys, semi-synchronous microround and
 //! children), so it does not depend on `std::hash` or on the toolchain.
 //!
-//! Regenerate the table, only when construction's output is meant to
+//! A second table pins the symbolic unions the Mayer–Vietoris prover
+//! reads: for each `symbolic_protocol_union` instance, the members in
+//! order, each as its base and its families. Realizing a union forgets
+//! member order, but the flat prover peels members in that order.
+//!
+//! Regenerate the tables, only when construction's output is meant to
 //! change, with
 //!
 //! ```text
 //! cargo test --release --test construction_digest -- --ignored --nocapture
 //! ```
 //!
-//! and paste the printed rows over `DIGESTS`.
+//! and paste the printed rows over `DIGESTS` and `SYMBOLIC_DIGESTS`.
 
 use std::collections::BTreeSet;
 
@@ -27,7 +32,8 @@ use pseudosphere::agreement::{
     async_task_parts, byzantine_task_parts, dynamic_task_parts, semisync_task_parts,
     sync_task_parts,
 };
-use pseudosphere::models::{GraphFamily, SsView, View};
+use pseudosphere::core::{ProcessId, PseudosphereUnion};
+use pseudosphere::models::{input_simplex, AsyncModel, GraphFamily, SsView, SyncModel, View};
 use pseudosphere::topology::{IdComplex, Label, VertexPool};
 
 /// 64-bit FNV-1a.
@@ -1214,6 +1220,197 @@ fn generate_digest_table() {
             built.facets,
             built.digest
         );
+    }
+    println!("];");
+}
+
+/// One symbolic-union instance on three processes: the model, the
+/// inputs of `P0, P1, …` (a two-entry list is the face without `P2`)
+/// and the round count.
+#[derive(Clone, Copy, Debug)]
+enum SymbolicCase {
+    Sync {
+        k_per_round: usize,
+        f: usize,
+        inputs: &'static [u64],
+        rounds: usize,
+    },
+    Async {
+        f: usize,
+        inputs: &'static [u64],
+        rounds: usize,
+    },
+}
+
+impl SymbolicCase {
+    fn name(&self) -> String {
+        match *self {
+            SymbolicCase::Sync {
+                k_per_round,
+                f,
+                inputs,
+                rounds,
+            } => format!("sync kpr={k_per_round} f={f} in={inputs:?} r={rounds}"),
+            SymbolicCase::Async { f, inputs, rounds } => {
+                format!("async f={f} in={inputs:?} r={rounds}")
+            }
+        }
+    }
+
+    fn union(&self) -> PseudosphereUnion<ProcessId, View<u64>> {
+        match *self {
+            SymbolicCase::Sync {
+                k_per_round,
+                f,
+                inputs,
+                rounds,
+            } => SyncModel::new(3, k_per_round, f)
+                .symbolic_protocol_union(&input_simplex(inputs), rounds),
+            SymbolicCase::Async { f, inputs, rounds } => {
+                AsyncModel::new(3, f).symbolic_protocol_union(&input_simplex(inputs), rounds)
+            }
+        }
+    }
+}
+
+fn symbolic_grid() -> Vec<SymbolicCase> {
+    const INPUTS: [&[u64]; 3] = [&[0, 1, 2], &[0, 0, 1], &[0, 1]];
+    let mut out = Vec::new();
+    for (k_per_round, f) in [(1, 1), (2, 2), (1, 2)] {
+        for inputs in INPUTS {
+            for rounds in 0..=2 {
+                out.push(SymbolicCase::Sync {
+                    k_per_round,
+                    f,
+                    inputs,
+                    rounds,
+                });
+            }
+        }
+    }
+    for f in 0..=2 {
+        for inputs in INPUTS {
+            for rounds in 0..=2 {
+                out.push(SymbolicCase::Async { f, inputs, rounds });
+            }
+        }
+    }
+    out
+}
+
+/// Member count and digest of a union: per member in order, its base
+/// processes, then per base process its family's views in order.
+fn symbolic_digest(union: &PseudosphereUnion<ProcessId, View<u64>>) -> (usize, u64) {
+    let mut h = Fnv::new();
+    h.u64(union.len() as u64);
+    for member in union.members() {
+        h.u64(member.base().len() as u64);
+        for p in member.base().vertices() {
+            h.u32(p.0);
+        }
+        for p in member.base().vertices() {
+            let family = member.family(p).expect("families cover the base");
+            h.u64(family.len() as u64);
+            for view in family {
+                view.encode(&mut h);
+            }
+        }
+    }
+    (union.len(), h.0)
+}
+
+/// `(name, members, digest)` per symbolic case, recorded by
+/// `generate_symbolic_table`.
+const SYMBOLIC_DIGESTS: &[(&str, usize, u64)] = &[
+    ("sync kpr=1 f=1 in=[0, 1, 2] r=0", 1, 0x30484e0d9f6b2d41),
+    ("sync kpr=1 f=1 in=[0, 1, 2] r=1", 4, 0x17dc97b6761c2e5a),
+    ("sync kpr=1 f=1 in=[0, 1, 2] r=2", 16, 0xcd540cf4d9837042),
+    ("sync kpr=1 f=1 in=[0, 0, 1] r=0", 1, 0x412a40a5746c601d),
+    ("sync kpr=1 f=1 in=[0, 0, 1] r=1", 4, 0xbeb1e83f41b9730a),
+    ("sync kpr=1 f=1 in=[0, 0, 1] r=2", 16, 0x944d0e6b7d59bd2e),
+    ("sync kpr=1 f=1 in=[0, 1] r=0", 1, 0xcdf8bff0a3463c79),
+    ("sync kpr=1 f=1 in=[0, 1] r=1", 3, 0x6feaec8eeba23302),
+    ("sync kpr=1 f=1 in=[0, 1] r=2", 7, 0x53cf8f551c78df08),
+    ("sync kpr=2 f=2 in=[0, 1, 2] r=0", 1, 0x30484e0d9f6b2d41),
+    ("sync kpr=2 f=2 in=[0, 1, 2] r=1", 7, 0x37ef863983e9f325),
+    ("sync kpr=2 f=2 in=[0, 1, 2] r=2", 55, 0xbfbe1589fda39865),
+    ("sync kpr=2 f=2 in=[0, 0, 1] r=0", 1, 0x412a40a5746c601d),
+    ("sync kpr=2 f=2 in=[0, 0, 1] r=1", 7, 0xe2f7c0740889710b),
+    ("sync kpr=2 f=2 in=[0, 0, 1] r=2", 55, 0x2c9449d47eb0b85b),
+    ("sync kpr=2 f=2 in=[0, 1] r=0", 1, 0xcdf8bff0a3463c79),
+    ("sync kpr=2 f=2 in=[0, 1] r=1", 3, 0x6feaec8eeba23302),
+    ("sync kpr=2 f=2 in=[0, 1] r=2", 7, 0x53cf8f551c78df08),
+    ("sync kpr=1 f=2 in=[0, 1, 2] r=0", 1, 0x30484e0d9f6b2d41),
+    ("sync kpr=1 f=2 in=[0, 1, 2] r=1", 4, 0x17dc97b6761c2e5a),
+    ("sync kpr=1 f=2 in=[0, 1, 2] r=2", 40, 0x1b72dd7630cb59d6),
+    ("sync kpr=1 f=2 in=[0, 0, 1] r=0", 1, 0x412a40a5746c601d),
+    ("sync kpr=1 f=2 in=[0, 0, 1] r=1", 4, 0xbeb1e83f41b9730a),
+    ("sync kpr=1 f=2 in=[0, 0, 1] r=2", 40, 0xc6bb3c1cc0b206ae),
+    ("sync kpr=1 f=2 in=[0, 1] r=0", 1, 0xcdf8bff0a3463c79),
+    ("sync kpr=1 f=2 in=[0, 1] r=1", 3, 0x6feaec8eeba23302),
+    ("sync kpr=1 f=2 in=[0, 1] r=2", 7, 0x53cf8f551c78df08),
+    ("async f=0 in=[0, 1, 2] r=0", 1, 0x30484e0d9f6b2d41),
+    ("async f=0 in=[0, 1, 2] r=1", 1, 0xb1424183f96e2917),
+    ("async f=0 in=[0, 1, 2] r=2", 1, 0xde8fa297790a8f77),
+    ("async f=0 in=[0, 0, 1] r=0", 1, 0x412a40a5746c601d),
+    ("async f=0 in=[0, 0, 1] r=1", 1, 0x9d5a927a6194daeb),
+    ("async f=0 in=[0, 0, 1] r=2", 1, 0xaf5d010d8d394763),
+    ("async f=0 in=[0, 1] r=0", 0, 0xa8c7f832281a39c5),
+    ("async f=0 in=[0, 1] r=1", 0, 0xa8c7f832281a39c5),
+    ("async f=0 in=[0, 1] r=2", 0, 0xa8c7f832281a39c5),
+    ("async f=1 in=[0, 1, 2] r=0", 1, 0x30484e0d9f6b2d41),
+    ("async f=1 in=[0, 1, 2] r=1", 1, 0x90d37725200e10e3),
+    ("async f=1 in=[0, 1, 2] r=2", 27, 0x91e83cf21bb82911),
+    ("async f=1 in=[0, 0, 1] r=0", 1, 0x412a40a5746c601d),
+    ("async f=1 in=[0, 0, 1] r=1", 1, 0x1ece0710ae430659),
+    ("async f=1 in=[0, 0, 1] r=2", 27, 0xaac167201677eff1),
+    ("async f=1 in=[0, 1] r=0", 1, 0xcdf8bff0a3463c79),
+    ("async f=1 in=[0, 1] r=1", 1, 0xf3d21c437f46a45c),
+    ("async f=1 in=[0, 1] r=2", 1, 0xdef47a1876f078aa),
+    ("async f=2 in=[0, 1, 2] r=0", 1, 0x30484e0d9f6b2d41),
+    ("async f=2 in=[0, 1, 2] r=1", 1, 0x1d01d24d32d2f70e),
+    ("async f=2 in=[0, 1, 2] r=2", 64, 0xa07b9874b894fcc5),
+    ("async f=2 in=[0, 0, 1] r=0", 1, 0x412a40a5746c601d),
+    ("async f=2 in=[0, 0, 1] r=1", 1, 0x78be8172d4ab3644),
+    ("async f=2 in=[0, 0, 1] r=2", 64, 0x81d4919c008c63fd),
+    ("async f=2 in=[0, 1] r=0", 1, 0xcdf8bff0a3463c79),
+    ("async f=2 in=[0, 1] r=1", 1, 0x0a7c121c492a3ebe),
+    ("async f=2 in=[0, 1] r=2", 4, 0x04700cb95799631f),
+];
+
+#[test]
+fn symbolic_union_digests() {
+    let cases = symbolic_grid();
+    let recorded: Vec<&str> = SYMBOLIC_DIGESTS.iter().map(|row| row.0).collect();
+    let names: Vec<String> = cases.iter().map(SymbolicCase::name).collect();
+    assert_eq!(
+        recorded, names,
+        "SYMBOLIC_DIGESTS rows must follow the grid order"
+    );
+    let failures: Vec<String> = cases
+        .iter()
+        .zip(SYMBOLIC_DIGESTS)
+        .filter_map(|(case, &(name, members, digest))| {
+            let (built_members, built_digest) = symbolic_digest(&case.union());
+            ((built_members, built_digest) != (members, digest)).then(|| {
+                format!(
+                    "{name}: built ({built_members}, {built_digest:#x}), \
+                     recorded ({members}, {digest:#x})"
+                )
+            })
+        })
+        .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// Prints the `SYMBOLIC_DIGESTS` table for the current code.
+#[test]
+#[ignore = "generator: prints the SYMBOLIC_DIGESTS table (run with --nocapture)"]
+fn generate_symbolic_table() {
+    println!("const SYMBOLIC_DIGESTS: &[(&str, usize, u64)] = &[");
+    for case in symbolic_grid() {
+        let (members, digest) = symbolic_digest(&case.union());
+        println!("    ({:?}, {members}, {digest:#018x}),", case.name());
     }
     println!("];");
 }
