@@ -367,7 +367,8 @@ impl From<&SolvabilityResult> for StoredVerdict {
     }
 }
 
-/// One solver run against a prepared instance.
+/// One solver run against a prepared instance. Only the verdict is
+/// kept, so the witness stays dense and no vertex label is cloned.
 fn solve_one<V: Label>(
     instance: &PreparedInstance<V>,
     k: usize,
@@ -377,9 +378,9 @@ fn solve_one<V: Label>(
         learning,
         ..crate::SolverConfig::default()
     });
-    let map = solver.solve_prepared(instance, AgreementConstraint::AtMostKDistinct(k));
+    let witness = solver.solve_dense(instance, AgreementConstraint::AtMostKDistinct(k));
     SolvabilityResult {
-        solvable: map.is_some(),
+        solvable: witness.is_some(),
         vertices: instance.vertex_count(),
         facets: instance.facet_count(),
     }

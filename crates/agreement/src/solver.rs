@@ -17,6 +17,15 @@
 //! solvability witness, `None` is an instance-level impossibility
 //! **proof** (the search is exhaustive).
 //!
+//! Each decision branches on the unassigned vertex with the smallest
+//! domain, ties to the vertex on the most facets, remaining ties to the
+//! lowest vertex index. The search keeps the unassigned vertices in an
+//! ordered index under exactly that key, updated wherever a domain
+//! shrinks or is restored and wherever a vertex is assigned or cleared,
+//! so a decision costs O(log V) rather than a scan of every vertex. The
+//! scan survives only as the recursive test oracle's rule, and debug
+//! builds check the index against it on small instances.
+//!
 //! The search is **iterative**: branching state lives in an explicit
 //! frame stack on the heap (one [`Frame`] per branched vertex), so the
 //! search depth is bounded by available memory, never by the thread
@@ -43,6 +52,7 @@
 //! validity-domain extraction happen once and every
 //! [`DecisionMapSolver::solve_prepared`] call reuses them.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 use ps_topology::{Complex, IdComplex, Label, VertexPool};
@@ -251,12 +261,14 @@ impl<V: Label> PreparedInstance<V> {
             {
                 continue;
             }
+            // `π` is a bijection, so `π(dom(v))` has `|dom(v)|` values:
+            // equal sizes plus containment is equality
             let equivariant = (0..n).all(|v| {
-                let mapped: BTreeSet<u64> = self.domains[v]
-                    .iter()
-                    .map(|&x| sym.values[x as usize])
-                    .collect();
-                self.domains[sym.vertex[v] as usize] == mapped
+                let image = &self.domains[sym.vertex[v] as usize];
+                image.len() == self.domains[v].len()
+                    && self.domains[v]
+                        .iter()
+                        .all(|&x| image.contains(&sym.values[x as usize]))
             });
             if !equivariant {
                 continue;
@@ -338,6 +350,11 @@ const NOGOOD_CAP: usize = 4096;
 /// and would crowd the bounded store.
 const MAX_NOGOOD_LEN: usize = 24;
 
+/// Debug builds check every pick of the selection index against the
+/// O(V) scan on instances up to this many vertices; above it the check
+/// would make each solve quadratic again.
+const SCAN_CHECK_MAX_VERTICES: usize = 1024;
+
 /// A learned nogood: a set of `(vertex, value)` assignments proven
 /// jointly unextendable to any decision map of the instance, plus an
 /// activity counter driving eviction.
@@ -411,6 +428,16 @@ struct SearchState<'a> {
     domains: Vec<BTreeSet<u64>>,
     /// Whether the vertex has been branched on / forced.
     assigned: Vec<Option<u64>>,
+    /// The selection index: one `(domain size, Reverse(facet count),
+    /// vertex)` entry per unassigned vertex, so its first entry is the
+    /// most-constrained vertex (see [`DecisionMapSolver::select`]).
+    /// Kept in step with `domains` and `assigned` by
+    /// [`SearchState::refile`], [`SearchState::set_assigned`] and
+    /// [`SearchState::clear_assigned`].
+    unassigned: BTreeSet<(usize, Reverse<usize>, usize)>,
+    /// The domain size each unassigned vertex is filed under in
+    /// `unassigned` (stale while the vertex is assigned).
+    filed: Vec<usize>,
     /// Facets as vertex-index lists (borrowed from the prepared
     /// instance — the search never mutates the facet index).
     facets: &'a [Vec<usize>],
@@ -453,13 +480,83 @@ struct TrailEntry {
 
 type Trail = Vec<TrailEntry>;
 
-impl SearchState<'_> {
-    /// Records `assigned[w] = Some(val)` and updates every generator's
-    /// violation count. Only entries `w` and `σ⁻¹(w)` of each generator
-    /// can change: `w` starts satisfying or violating
-    /// `assigned[σ(w)] == π(assigned[w])`, and the preimage `u = σ⁻¹(w)`
-    /// (if assigned) may have just had its required image filled in.
+impl<'a> SearchState<'a> {
+    /// The initial state of a search over `instance`: every vertex
+    /// unassigned with its validity domain, no generators tracked, an
+    /// empty nogood store of capacity `nogood_cap`.
+    fn new<V>(
+        instance: &'a PreparedInstance<V>,
+        constraint: AgreementConstraint,
+        forward_checking: bool,
+        learning: bool,
+        nogood_cap: usize,
+    ) -> Self {
+        let n = instance.vertices.len();
+        let mut state = SearchState {
+            domains: instance.domains.clone(),
+            assigned: vec![None; n],
+            unassigned: BTreeSet::new(),
+            filed: vec![0; n],
+            facets: &instance.facets,
+            facets_of: &instance.facets_of,
+            constraint,
+            forward_checking,
+            gens: Vec::new(),
+            fixing: vec![Vec::new(); n],
+            learning,
+            level_of: vec![0; n],
+            is_decision: vec![false; n],
+            expl: vec![BTreeSet::new(); n],
+            store: NogoodStore::new(nogood_cap, n),
+        };
+        for w in 0..n {
+            state.file(w);
+        }
+        state
+    }
+
+    /// Files the unassigned vertex `w` in the selection index under its
+    /// current domain size.
+    fn file(&mut self, w: usize) {
+        let len = self.domains[w].len();
+        self.filed[w] = len;
+        self.unassigned
+            .insert((len, Reverse(self.facets_of[w].len()), w));
+    }
+
+    /// Takes `w` out of the selection index.
+    fn unfile(&mut self, w: usize) {
+        let key = (self.filed[w], Reverse(self.facets_of[w].len()), w);
+        let filed = self.unassigned.remove(&key);
+        debug_assert!(filed, "vertex {w} was not in the selection index");
+    }
+
+    /// Re-files `w` after its domain changed, if it is unassigned (an
+    /// assigned vertex is filed again, under its domain size of that
+    /// moment, when it is cleared).
+    fn refile(&mut self, w: usize) {
+        if self.assigned[w].is_none() {
+            self.unfile(w);
+            self.file(w);
+        }
+    }
+
+    /// The complete assignment, as each vertex's value in vertex order.
+    fn witness(&self) -> Vec<u64> {
+        self.assigned
+            .iter()
+            .map(|x| x.expect("complete assignment"))
+            .collect()
+    }
+
+    /// Records `assigned[w] = Some(val)`, takes `w` out of the
+    /// selection index, and updates every generator's violation count.
+    /// Only entries `w` and `σ⁻¹(w)` of each generator can change: `w`
+    /// starts satisfying or violating `assigned[σ(w)] == π(assigned[w])`,
+    /// and the preimage `u = σ⁻¹(w)` (if assigned) may have just had its
+    /// required image filled in.
     fn set_assigned(&mut self, w: usize, val: u64) {
+        self.unfile(w);
         self.assigned[w] = Some(val);
         let assigned = &self.assigned;
         for g in &mut self.gens {
@@ -482,11 +579,13 @@ impl SearchState<'_> {
     }
 
     /// Records `assigned[w] = None`, reversing [`SearchState::set_assigned`]:
-    /// `w` itself can no longer violate, and the assigned preimage
-    /// `u = σ⁻¹(w)` now points at an unassigned image, which counts as a
-    /// violation (the generator no longer reproduces the partial map).
+    /// `w` goes back into the selection index, `w` itself can no longer
+    /// violate, and the assigned preimage `u = σ⁻¹(w)` now points at an
+    /// unassigned image, which counts as a violation (the generator no
+    /// longer reproduces the partial map).
     fn clear_assigned(&mut self, w: usize) {
         self.assigned[w] = None;
+        self.file(w);
         let assigned = &self.assigned;
         for g in &mut self.gens {
             if g.vflag[w] {
@@ -649,6 +748,8 @@ impl SearchState<'_> {
             .filter(|&x| x != val)
             .collect();
         if !removed.is_empty() {
+            // `vi` leaves the selection index in `set_assigned` below,
+            // under the domain size it was filed with
             self.domains[vi] = [val].into_iter().collect();
             trail.push(TrailEntry {
                 w: vi,
@@ -750,6 +851,7 @@ impl SearchState<'_> {
                     for x in &removed {
                         self.domains[w].remove(x);
                     }
+                    self.refile(w);
                     let expl_added = match &reason {
                         Some(r) => self.note_expl(w, r),
                         None => Vec::new(),
@@ -865,6 +967,7 @@ impl SearchState<'_> {
                         }
                     }
                     self.domains[u].remove(&a);
+                    self.refile(u);
                     let expl_added = self.note_expl(u, &reason);
                     trail.push(TrailEntry {
                         w: u,
@@ -899,12 +1002,19 @@ impl SearchState<'_> {
                 self.clear_assigned(entry.w);
             } else {
                 self.domains[entry.w].extend(entry.removed.iter().copied());
+                self.refile(entry.w);
                 for l in &entry.expl_added {
                     self.expl[entry.w].remove(l);
                 }
             }
         }
     }
+}
+
+/// A dense witness (see [`DecisionMapSolver::solve_dense`]) as a map
+/// from vertex labels to values.
+fn label_witness<V: Label>(instance: &PreparedInstance<V>, values: Vec<u64>) -> BTreeMap<V, u64> {
+    instance.vertices.iter().cloned().zip(values).collect()
 }
 
 /// One level of the iterative backtracking search: the branched vertex,
@@ -1073,20 +1183,41 @@ impl DecisionMapSolver {
         instance: &PreparedInstance<V>,
         constraint: AgreementConstraint,
     ) -> Option<BTreeMap<V, u64>> {
+        let values = self.solve_dense(instance, constraint)?;
+        Some(label_witness(instance, values))
+    }
+
+    /// [`DecisionMapSolver::solve_prepared`] without the label map: the
+    /// witness is each vertex's value in
+    /// [`PreparedInstance::vertex_labels`] order, so a caller that only
+    /// needs the verdict clones no labels.
+    pub(crate) fn solve_dense<V>(
+        &mut self,
+        instance: &PreparedInstance<V>,
+        constraint: AgreementConstraint,
+    ) -> Option<Vec<u64>> {
         self.stats = SolverStats::default();
+        self.last_nogoods.clear();
         if instance.vertices.is_empty() {
-            return Some(BTreeMap::new());
+            return Some(Vec::new());
         }
         if instance.domains.iter().any(|d| d.is_empty()) {
             return None;
         }
+        let mut state = SearchState::new(
+            instance,
+            constraint,
+            self.config.forward_checking,
+            self.config.learning,
+            NOGOOD_CAP,
+        );
         // Orbit branching transports solutions along value bijections,
         // which preserves distinct-value counts (AtMostKDistinct,
         // AllDistinct) but not value *ranges* — MaxRange stays unpruned.
         let use_symmetry = !instance.symmetries.is_empty()
             && !matches!(constraint, AgreementConstraint::MaxRange(_));
-        let gens: Vec<GenTrack> = if use_symmetry {
-            instance
+        if use_symmetry {
+            state.gens = instance
                 .symmetries
                 .iter()
                 .map(|s| {
@@ -1102,34 +1233,15 @@ impl DecisionMapSolver {
                         vflag: vec![false; s.vertex.len()],
                     }
                 })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut fixing: Vec<Vec<usize>> = vec![Vec::new(); instance.vertices.len()];
-        for (gi, g) in gens.iter().enumerate() {
+                .collect();
+        }
+        for (gi, g) in state.gens.iter().enumerate() {
             for (v, &img) in g.vertex.iter().enumerate() {
                 if img as usize == v {
-                    fixing[v].push(gi);
+                    state.fixing[v].push(gi);
                 }
             }
         }
-        let n = instance.vertices.len();
-        let mut state = SearchState {
-            domains: instance.domains.clone(),
-            assigned: vec![None; n],
-            facets: &instance.facets,
-            facets_of: &instance.facets_of,
-            constraint,
-            forward_checking: self.config.forward_checking,
-            gens,
-            fixing,
-            learning: self.config.learning,
-            level_of: vec![0; n],
-            is_decision: vec![false; n],
-            expl: vec![BTreeSet::new(); n],
-            store: NogoodStore::new(NOGOOD_CAP, n),
-        };
         let solved = self.backtrack(&mut state);
         self.last_nogoods = state
             .store
@@ -1144,22 +1256,37 @@ impl DecisionMapSolver {
                     .any(|&(v, a)| state.assigned[v as usize] != Some(a))),
                 "a learned nogood contradicts the accepted witness"
             );
-            Some(
-                instance
-                    .vertices
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| (v.clone(), state.assigned[i].expect("complete assignment")))
-                    .collect(),
-            )
+            Some(state.witness())
         } else {
             None
         }
     }
 
-    /// The most-constrained unassigned vertex (smallest domain, ties to
-    /// the vertex on the most facets), or `None` when all are assigned.
+    /// The most-constrained unassigned vertex, or `None` when all are
+    /// assigned: the first entry of the selection index, i.e. the
+    /// smallest domain, ties to the vertex on the most facets, remaining
+    /// ties to the lowest vertex index. O(log V) per decision.
+    ///
+    /// Debug builds cross-check the pick against the linear scan
+    /// [`DecisionMapSolver::select_scan`] on instances of at most
+    /// [`SCAN_CHECK_MAX_VERTICES`] vertices, so every test that searches
+    /// a small instance — backjumps and orbit branching included — also
+    /// checks that the index is kept in step.
     fn select(state: &SearchState<'_>) -> Option<usize> {
+        let pick = state.unassigned.first().map(|&(_, _, w)| w);
+        debug_assert!(
+            state.domains.len() > SCAN_CHECK_MAX_VERTICES || pick == Self::select_scan(state),
+            "selection index picked {pick:?}, the scan {:?}",
+            Self::select_scan(state)
+        );
+        pick
+    }
+
+    /// [`DecisionMapSolver::select`] by an O(V) scan over every vertex
+    /// (`min_by_key` keeps the first of equal keys, so remaining ties
+    /// go to the lowest index): the recursive oracle's selection rule,
+    /// and the reference the index is checked against.
+    fn select_scan(state: &SearchState<'_>) -> Option<usize> {
         (0..state.domains.len())
             .filter(|&i| state.assigned[i].is_none())
             .min_by_key(|&i| {
@@ -1312,7 +1439,7 @@ impl DecisionMapSolver {
     /// its search depth is the vertex count and it WILL overflow small
     /// thread stacks (that being the point).
     fn backtrack_recursive(&mut self, state: &mut SearchState<'_>) -> bool {
-        let Some(vi) = Self::select(state) else {
+        let Some(vi) = Self::select_scan(state) else {
             return true; // all assigned
         };
         let candidates: Vec<u64> = state.domains[vi].iter().copied().collect();
@@ -1352,31 +1479,10 @@ impl DecisionMapSolver {
         if instance.domains.iter().any(|d| d.is_empty()) {
             return None;
         }
-        let n = instance.vertices.len();
-        let mut state = SearchState {
-            domains: instance.domains.clone(),
-            assigned: vec![None; n],
-            facets: &instance.facets,
-            facets_of: &instance.facets_of,
-            constraint,
-            forward_checking: self.config.forward_checking,
-            gens: Vec::new(),
-            fixing: vec![Vec::new(); n],
-            learning: false,
-            level_of: vec![0; n],
-            is_decision: vec![false; n],
-            expl: vec![BTreeSet::new(); n],
-            store: NogoodStore::new(1, n),
-        };
+        let mut state =
+            SearchState::new(instance, constraint, self.config.forward_checking, false, 1);
         if self.backtrack_recursive(&mut state) {
-            Some(
-                instance
-                    .vertices
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| (v.clone(), state.assigned[i].expect("complete assignment")))
-                    .collect(),
-            )
+            Some(label_witness(instance, state.witness()))
         } else {
             None
         }
@@ -1939,7 +2045,10 @@ mod tests {
         /// any witness verifies. With learning on, conflict analysis
         /// may take a different route through the tree, so the oracle
         /// pins the verdict and witness validity. Checked with forward
-        /// checking both on and off.
+        /// checking both on and off. The oracle selects by the linear
+        /// scan, so equal statistics also show that the selection index
+        /// picks the scan's vertex; in debug builds the conflict-driven
+        /// run checks every pick against the scan as well.
         #[test]
         fn iterative_matches_recursive_oracle(
             facets in prop::collection::vec(
@@ -2031,23 +2140,31 @@ mod tests {
     }
 
     /// An incompatible pinned edge `(0, 9)` buried behind eight free
-    /// vertices, forward checking off so only search can find the
-    /// contradiction: chronological backtracking re-enumerates the
-    /// free block for every candidate pair, while conflict analysis
-    /// explains the dead end by vertex 0's level alone, jumps straight
-    /// back over the free block, and proves unsolvability after one
-    /// pass per root candidate.
-    #[test]
-    fn backjumping_skips_irrelevant_decisions() {
+    /// vertices; unsolvable at k = 1 under [`buried_domain`].
+    fn buried_conflict() -> Complex<u32> {
         let mut facets = vec![s(&[0, 9])];
         facets.extend((1..=8u32).map(|i| s(&[i])));
-        let c = Complex::from_facets(facets);
-        let dom = |v: &u32| -> BTreeSet<u64> {
-            match v {
-                9 => [2u64, 3].into_iter().collect(),
-                _ => [0u64, 1].into_iter().collect(),
-            }
-        };
+        Complex::from_facets(facets)
+    }
+
+    /// The domains of [`buried_conflict`]: vertex 9 takes values no
+    /// other vertex can.
+    fn buried_domain(v: &u32) -> BTreeSet<u64> {
+        match v {
+            9 => [2u64, 3].into_iter().collect(),
+            _ => [0u64, 1].into_iter().collect(),
+        }
+    }
+
+    /// [`buried_conflict`] with forward checking off so only search
+    /// can find the contradiction: chronological backtracking
+    /// re-enumerates the free block for every candidate pair, while
+    /// conflict analysis explains the dead end by vertex 0's level
+    /// alone, jumps straight back over the free block, and proves
+    /// unsolvability after one pass per root candidate.
+    #[test]
+    fn backjumping_skips_irrelevant_decisions() {
+        let (c, dom) = (buried_conflict(), buried_domain);
         let mk = |learning: bool| {
             DecisionMapSolver::with_config(SolverConfig {
                 forward_checking: false,
@@ -2080,6 +2197,29 @@ mod tests {
                 ng.iter().all(|&(v, _)| v == 0 || v == 9),
                 "overwide nogood {ng:?}"
             );
+        }
+    }
+
+    /// `learned_nogoods` describes the last solve even when that solve
+    /// returns before searching — on an empty complex, or on a vertex
+    /// with an empty domain — instead of leaking the previous solve's
+    /// nogoods, whose vertex indices belong to another instance.
+    #[test]
+    fn early_returns_clear_learned_nogoods() {
+        let (c, dom) = (buried_conflict(), buried_domain);
+        let mut solver = DecisionMapSolver::with_config(SolverConfig {
+            forward_checking: false,
+            learning: true,
+        });
+        let empty_domains = Complex::simplex(s(&[0, 1]));
+        let empty_complex = Complex::<u32>::new();
+        for early in [&empty_domains, &empty_complex] {
+            assert_eq!(solver.solve(&c, dom, 1), None);
+            assert!(!solver.learned_nogoods().is_empty(), "nothing learned");
+            let got = solver.solve(early, |_| BTreeSet::new(), 1);
+            assert_eq!(got.is_some(), early.facets().next().is_none());
+            assert_eq!(solver.stats().learned_nogoods, 0);
+            assert_eq!(solver.learned_nogoods(), &[] as &[Vec<(u32, u64)>]);
         }
     }
 

@@ -9,6 +9,12 @@
 //! of the runs (learned nogoods are global lemmas: "no valid decision
 //! map contains all of these (vertex, value) pairs").
 //!
+//! In debug builds the production search also checks every branch
+//! vertex its selection index picks against the oracle's linear scan
+//! (on instances of up to 1024 vertices), so the four runs check the
+//! index under backjumps and orbit branching, where the oracle itself
+//! cannot follow.
+//!
 //! Failures shrink through proptest and print the offending grid point.
 //! The suite rides the CI `solver-depth` job (`RUST_MIN_STACK=262144`),
 //! so the oracle — which recurses one call frame per vertex — is only
