@@ -24,18 +24,21 @@ use ps_topology::{Complex, IdComplex, InternedBuilder, Label, Simplex, VertexPoo
 use crate::solver::{AgreementConstraint, DecisionMapSolver, PreparedInstance};
 use crate::store::{StoreKey, StoredVerdict, VerdictStore};
 use crate::symmetry::{
-    instance_fingerprint, instance_key, task_symmetries, ExactKey, StructuralKey, SymmetricView,
+    instance_fingerprint, instance_key, Certifier, ExactKey, StructuralKey, SymmetricView,
 };
 use crate::task::KSetAgreement;
 
 /// Knobs for the sweep drivers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepOptions {
-    /// Exploit task symmetries (on by default): attach certified
-    /// process/value relabelings to each prepared instance so the
-    /// solver can orbit-branch, and collapse canonically-isomorphic
-    /// instance groups in [`solvability_sweep_shared_opts`] so each
-    /// isomorphism class is solved once.
+    /// Exploit task symmetries (on by default): let the solver
+    /// orbit-branch on the task's process/value relabelings, certified
+    /// as automorphisms when a search first needs them (at most once
+    /// per prepared instance, and never for an instance whose searches
+    /// refute no candidate with another still untried), and collapse
+    /// canonically-isomorphic instance groups in
+    /// [`solvability_sweep_shared_opts`] so each isomorphism class is
+    /// solved once. Off certifies nothing.
     pub symmetry: bool,
     /// Conflict-driven nogood learning in the solver (on by default):
     /// explain dead ends, backjump over irrelevant decision levels, and
@@ -297,12 +300,14 @@ impl TaskParts {
         }
     }
 
-    /// The prepare-and-certify step every solver path shares: indexes
-    /// the complex for search over the value domain `values` and, with
-    /// `symmetry`, attaches the task's process/value relabelings
-    /// (closed from transpositions, certified as automorphisms by
-    /// [`task_symmetries`]) for orbit branching.
-    fn prepare(&self, n_plus_1: usize, values: &BTreeSet<u64>, symmetry: bool) -> PreparedGroup {
+    /// The prepare step every solver path shares: indexes the complex
+    /// for search over the value domain `values`, moving the labels out
+    /// of the pool, and keeps of the complex only its pseudosphere
+    /// cover. With `symmetry`, the task's process/value relabelings
+    /// (closed from transpositions, certified as automorphisms as
+    /// [`crate::task_symmetries`] certifies them) are certified for
+    /// orbit branching when the solver first needs them, not here.
+    fn prepare(self, n_plus_1: usize, values: &BTreeSet<u64>, symmetry: bool) -> PreparedGroup {
         match self {
             TaskParts::Viewed(pool, c) => {
                 PreparedGroup::Viewed(prepare(pool, c, allowed_values, n_plus_1, values, symmetry))
@@ -321,17 +326,17 @@ impl TaskParts {
 
 /// [`TaskParts::prepare`] for one view type.
 fn prepare<V: SymmetricView>(
-    pool: &VertexPool<V>,
-    complex: &IdComplex,
+    pool: VertexPool<V>,
+    complex: IdComplex,
     allowed: fn(&V) -> BTreeSet<u64>,
     n_plus_1: usize,
     values: &BTreeSet<u64>,
     symmetry: bool,
 ) -> PreparedInstance<V> {
-    let mut inst = PreparedInstance::from_interned(pool, complex, allowed);
+    let mut inst = PreparedInstance::from_parts(pool, &complex, allowed);
     if symmetry {
-        let proc_gens = ps_models::process_transpositions(n_plus_1);
-        inst.attach_symmetries(task_symmetries(pool, complex, n_plus_1, &proc_gens, values));
+        let cover = complex.into_pseudosphere_cover();
+        inst.defer_certification(Certifier::new(cover, n_plus_1, values));
     }
     inst
 }
@@ -737,7 +742,7 @@ impl SweepPoint {
 }
 
 impl SweepKey {
-    fn n_plus_1(&self) -> usize {
+    pub(crate) fn n_plus_1(&self) -> usize {
         match *self {
             SweepKey::Async { n_plus_1, .. }
             | SweepKey::Sync { n_plus_1, .. }
@@ -788,8 +793,9 @@ impl SweepKey {
         TaskParts::Viewed(pool, complex)
     }
 
-    /// [`SweepKey::task_parts`] prepared for search over `values`,
-    /// with certified task symmetries attached when `symmetry`.
+    /// [`SweepKey::task_parts`] prepared for search over `values`, with
+    /// the task's symmetries certified on the solver's first need when
+    /// `symmetry` (see [`TaskParts::prepare`]).
     pub(crate) fn prepare(&self, values: &BTreeSet<u64>, symmetry: bool) -> PreparedGroup {
         self.task_parts(values)
             .prepare(self.n_plus_1(), values, symmetry)
@@ -900,6 +906,16 @@ impl PreparedGroup {
         match self {
             PreparedGroup::Viewed(inst) => solve_one(inst, k, learning),
             PreparedGroup::SsViewed(inst) => solve_one(inst, k, learning),
+        }
+    }
+
+    /// The symmetries the group's deferred certification kept, once it
+    /// has run.
+    #[cfg(test)]
+    pub(crate) fn certified(&self) -> Option<&[crate::InstanceSymmetry]> {
+        match self {
+            PreparedGroup::Viewed(inst) => inst.certified(),
+            PreparedGroup::SsViewed(inst) => inst.certified(),
         }
     }
 }

@@ -57,6 +57,9 @@ pub use conform::{
     conformance_check, ConformConfig, ConformReport, PointOutcome, PointReport, WitnessSchedule,
 };
 
+#[cfg(test)]
+mod deferred_certification;
+
 pub mod experiments;
 pub use experiments::{
     allowed_values, allowed_values_ss, async_approximate_solvable, async_solvable,

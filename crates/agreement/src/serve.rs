@@ -426,4 +426,73 @@ mod tests {
         assert_eq!(engine.metrics().store_hits, points.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// The `k = 2` points of the benchmark's `construct` grid.
+    fn construct_points() -> Vec<SweepPoint> {
+        vec![
+            SweepPoint::Sync {
+                k: 2,
+                f: 1,
+                n_plus_1: 5,
+                k_per_round: 1,
+                rounds: 1,
+            },
+            SweepPoint::Async {
+                k: 2,
+                f: 2,
+                n_plus_1: 4,
+                rounds: 1,
+            },
+            SweepPoint::Byzantine {
+                k: 2,
+                t: 1,
+                n_plus_1: 4,
+                rounds: 1,
+            },
+            SweepPoint::Dynamic {
+                k: 2,
+                n_plus_1: 3,
+                family: ps_models::GraphFamily::Rooted,
+                rounds: 1,
+            },
+        ]
+    }
+
+    /// Which of `points`' warm entries have certified their symmetries.
+    fn certified(engine: &QueryEngine, points: &[SweepPoint]) -> Vec<bool> {
+        let entry = |p: &SweepPoint| &engine.prepared[&(p.shared_key(), p.k())];
+        points
+            .iter()
+            .map(|p| entry(p).group.certified().is_some())
+            .collect()
+    }
+
+    #[test]
+    fn store_hits_certify_nothing() {
+        let dir = tmp_dir("certify");
+        let points = construct_points();
+        {
+            let store = VerdictStore::open(&dir).unwrap();
+            let mut cold = QueryEngine::new(2, SweepOptions::default(), Some(store));
+            let answers = cold.answer_batch(&points).unwrap();
+            assert!(answers.iter().all(|a| a.source == AnswerSource::Solved));
+            // a miss certifies when its search refutes a candidate while
+            // another is untried: async n+1=4 f=2 and dynamic rooted
+            assert_eq!(certified(&cold, &points), [false, true, false, true]);
+            // and only once: a warm instance keeps its certified set
+            for p in &points {
+                let entry = &cold.prepared[&(p.shared_key(), p.k())];
+                let before = entry.group.certified().map(<[_]>::as_ptr);
+                entry.group.solve(p.k(), true);
+                assert_eq!(entry.group.certified().map(<[_]>::as_ptr), before);
+            }
+        }
+        let store = VerdictStore::open(&dir).unwrap();
+        let mut warm = QueryEngine::new(2, SweepOptions::default(), Some(store));
+        let answers = warm.answer_batch(&points).unwrap();
+        assert!(answers.iter().all(|a| a.source == AnswerSource::Store));
+        assert_eq!(warm.metrics().prepared_builds, points.len() as u64);
+        assert_eq!(certified(&warm, &points), [false; 4]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -47,6 +47,15 @@
 //! restores the plain chronological search bit for bit — the oracle
 //! equivalence proptest below pins that.
 //!
+//! **Orbit branching** skips a frame's candidates that a symmetry of
+//! the instance maps onto an already refuted one (see
+//! [`Frame::cover_orbit`]). A skip needs a refutation that leaves a
+//! candidate untried, so the search installs its symmetry generators
+//! at the first such refutation and not before ([`Frame::refute`]). A
+//! search that never gets there never fetches the instance's
+//! symmetries, and an instance that defers their certification (as the
+//! sweeps prepare theirs) never certifies them.
+//!
 //! Repeated solves over one complex (the k-sweep of an instance) should
 //! go through [`PreparedInstance`]: the interning, facet indexing, and
 //! validity-domain extraction happen once and every
@@ -54,10 +63,11 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use ps_topology::{Complex, IdComplex, Label, VertexPool};
 
-use crate::symmetry::InstanceSymmetry;
+use crate::symmetry::{Certifier, InstanceSymmetry};
 
 /// Search statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -143,6 +153,12 @@ pub struct DecisionMapSolver {
 /// validity constraint does not depend on `k`), so a sweep prepares the
 /// instance once and calls [`DecisionMapSolver::solve_prepared`] per
 /// agreement constraint.
+///
+/// Symmetries for orbit branching are either attached eagerly
+/// ([`PreparedInstance::attach_symmetries`]) or, on the sweeps' path,
+/// certified on the solver's first need: the search fetches them only
+/// when a refutation leaves a candidate untried, and an instance
+/// prepared with deferred certification certifies then, at most once.
 #[derive(Clone, Debug)]
 pub struct PreparedInstance<V> {
     /// Vertex labels, indexed by the dense vertex index.
@@ -153,8 +169,13 @@ pub struct PreparedInstance<V> {
     pub(crate) facets_of: Vec<Vec<usize>>,
     /// Validity domain of each vertex.
     pub(crate) domains: Vec<BTreeSet<u64>>,
-    /// Certified instance symmetries usable for orbit branching.
-    pub(crate) symmetries: Vec<InstanceSymmetry>,
+    /// Certified instance symmetries usable for orbit branching: set by
+    /// [`PreparedInstance::attach_symmetries`], or by the first fetch
+    /// ([`PreparedInstance::symmetries`]).
+    symmetries: OnceLock<Vec<InstanceSymmetry>>,
+    /// Certifies the task's symmetries at the first fetch, when the
+    /// instance was prepared with deferred certification.
+    certifier: Option<Certifier<V>>,
 }
 
 impl<V: Label> PreparedInstance<V> {
@@ -163,7 +184,7 @@ impl<V: Label> PreparedInstance<V> {
     /// values.
     pub fn new(complex: &Complex<V>, allowed: impl FnMut(&V) -> BTreeSet<u64>) -> Self {
         let (pool, id_complex) = complex.to_interned();
-        Self::from_interned(&pool, &id_complex, allowed)
+        Self::from_parts(pool, &id_complex, allowed)
     }
 
     /// Prepares an already-interned complex without re-interning — the
@@ -180,12 +201,31 @@ impl<V: Label> PreparedInstance<V> {
         complex: &IdComplex,
         allowed: impl FnMut(&V) -> BTreeSet<u64>,
     ) -> Self {
+        Self::index(pool.labels().to_vec(), complex, allowed)
+    }
+
+    /// [`PreparedInstance::from_interned`] consuming the pool: its
+    /// labels move into the instance instead of being cloned, and its
+    /// lookup table (a second copy of every label) is dropped.
+    pub(crate) fn from_parts(
+        pool: VertexPool<V>,
+        complex: &IdComplex,
+        allowed: impl FnMut(&V) -> BTreeSet<u64>,
+    ) -> Self {
+        Self::index(pool.into_labels(), complex, allowed)
+    }
+
+    /// Indexes `complex`, whose vertex `i` is labelled `vertices[i]`.
+    fn index(
+        vertices: Vec<V>,
+        complex: &IdComplex,
+        allowed: impl FnMut(&V) -> BTreeSet<u64>,
+    ) -> Self {
         debug_assert_eq!(
-            pool.len(),
+            vertices.len(),
             complex.vertex_count(),
             "pool must contain exactly the complex's vertices"
         );
-        let vertices: Vec<V> = pool.labels().to_vec();
         let facets: Vec<Vec<usize>> = complex
             .facets()
             .map(|f| f.ids().map(|i| i as usize).collect())
@@ -202,8 +242,15 @@ impl<V: Label> PreparedInstance<V> {
             facets,
             facets_of,
             domains,
-            symmetries: Vec::new(),
+            symmetries: OnceLock::new(),
+            certifier: None,
         }
+    }
+
+    /// Defers certification of the task's symmetries to the solver's
+    /// first fetch (see [`PreparedInstance::symmetries`]).
+    pub(crate) fn defer_certification(&mut self, certifier: Certifier<V>) {
+        self.certifier = Some(certifier);
     }
 
     /// Number of vertices.
@@ -222,9 +269,10 @@ impl<V: Label> PreparedInstance<V> {
         self.facets.len()
     }
 
-    /// Number of symmetries attached for orbit branching.
+    /// Number of symmetries attached for orbit branching (0 while a
+    /// deferred certification has not run).
     pub fn symmetry_count(&self) -> usize {
-        self.symmetries.len()
+        self.symmetries.get().map_or(0, Vec::len)
     }
 
     /// Attaches certified symmetries for orbit branching; returns how
@@ -245,43 +293,71 @@ impl<V: Label> PreparedInstance<V> {
     ///   vertices it fixes).
     ///
     /// Symmetries that fail the checks are silently dropped — they are
-    /// an optimization, never a correctness requirement.
+    /// an optimization, never a correctness requirement. A deferred
+    /// certification still pending runs first, so the symmetries it
+    /// certifies are kept beside the attached ones.
     pub fn attach_symmetries(&mut self, syms: impl IntoIterator<Item = InstanceSymmetry>) -> usize {
-        let before = self.symmetries.len();
+        let kept: Vec<InstanceSymmetry> = syms.into_iter().filter(|s| self.usable(s)).collect();
+        let count = kept.len();
+        self.symmetries();
+        let attached = self.symmetries.get_mut().expect("fetched above");
+        attached.extend(kept);
+        count
+    }
+}
+
+impl<V> PreparedInstance<V> {
+    /// The symmetries orbit branching may use. The search fetches them
+    /// when a refutation first leaves a candidate untried. For an
+    /// instance prepared with deferred certification, the first fetch
+    /// certifies the task's symmetries and keeps those that pass
+    /// [`PreparedInstance::attach_symmetries`]'s checks, so the instance
+    /// certifies at most once (whichever thread fetches first) and an
+    /// instance whose searches never fetch never certifies.
+    pub(crate) fn symmetries(&self) -> &[InstanceSymmetry] {
+        self.symmetries.get_or_init(|| match &self.certifier {
+            Some(certifier) => certifier
+                .certify(self)
+                .into_iter()
+                .filter(|s| self.usable(s))
+                .collect(),
+            None => Vec::new(),
+        })
+    }
+
+    /// The symmetries deferred certification kept, once it has run;
+    /// `None` before, and for an instance that defers none.
+    #[cfg(test)]
+    pub(crate) fn certified(&self) -> Option<&[InstanceSymmetry]> {
+        let certified = self.certifier.as_ref().and(self.symmetries.get());
+        certified.map(Vec::as_slice)
+    }
+
+    /// Whether `sym` passes the checks of
+    /// [`PreparedInstance::attach_symmetries`].
+    fn usable(&self, sym: &InstanceSymmetry) -> bool {
         let n = self.vertices.len();
-        for sym in syms {
-            if sym.vertex.len() != n {
-                continue;
-            }
-            if self
-                .domains
-                .iter()
-                .flatten()
-                .any(|&x| x as usize >= sym.values.len())
-            {
-                continue;
-            }
-            // `π` is a bijection, so `π(dom(v))` has `|dom(v)|` values:
-            // equal sizes plus containment is equality
-            let equivariant = (0..n).all(|v| {
-                let image = &self.domains[sym.vertex[v] as usize];
-                image.len() == self.domains[v].len()
-                    && self.domains[v]
-                        .iter()
-                        .all(|&x| image.contains(&sym.values[x as usize]))
-            });
-            if !equivariant {
-                continue;
-            }
-            if sym.is_value_identity() {
-                continue;
-            }
-            if !(0..n).any(|v| sym.vertex[v] as usize == v) {
-                continue;
-            }
-            self.symmetries.push(sym);
+        if sym.vertex.len() != n {
+            return false;
         }
-        self.symmetries.len() - before
+        if self
+            .domains
+            .iter()
+            .flatten()
+            .any(|&x| x as usize >= sym.values.len())
+        {
+            return false;
+        }
+        // `π` is a bijection, so `π(dom(v))` has `|dom(v)|` values:
+        // equal sizes plus containment is equality
+        let equivariant = (0..n).all(|v| {
+            let image = &self.domains[sym.vertex[v] as usize];
+            image.len() == self.domains[v].len()
+                && self.domains[v]
+                    .iter()
+                    .all(|&x| image.contains(&sym.values[x as usize]))
+        });
+        equivariant && !sym.is_value_identity() && (0..n).any(|v| sym.vertex[v] as usize == v)
     }
 }
 
@@ -291,16 +367,17 @@ impl<V: Label> PreparedInstance<V> {
 /// `assigned[σ(w)] == π(assigned[w])`. (`viol == 0` means transporting
 /// the partial map along the generator reproduces it: the transported
 /// map agrees on every assigned vertex, and since `σ` is a bijection
-/// over a finite set, it assigns the same vertex set.) Maintained
-/// exactly — each set/clear touches only `w` and `σ⁻¹(w)` per
-/// generator.
-struct GenTrack {
+/// over a finite set, it assigns the same vertex set.) Computed from
+/// the partial assignment when the generator is installed
+/// ([`SearchState::install_generators`]), then maintained exactly —
+/// each set/clear touches only `w` and `σ⁻¹(w)` per generator.
+struct GenTrack<'a> {
     /// Vertex image table `σ`.
-    vertex: Vec<u32>,
+    vertex: &'a [u32],
     /// Inverse vertex table `σ⁻¹`.
     inv: Vec<u32>,
     /// Value image table `π`.
-    values: Vec<u64>,
+    values: &'a [u64],
     /// Number of assigned `w` with `assigned[σ(w)] != π(assigned[w])`.
     viol: usize,
     /// Per-vertex flag: `w` is assigned and currently violating.
@@ -445,9 +522,10 @@ struct SearchState<'a> {
     facets_of: &'a [Vec<usize>],
     constraint: AgreementConstraint,
     forward_checking: bool,
-    /// Symmetry generators tracked for orbit branching (empty when
-    /// disabled).
-    gens: Vec<GenTrack>,
+    /// Symmetry generators tracked for orbit branching: `None` until
+    /// the first refutation that leaves a candidate untried installs
+    /// them ([`Frame::refute`]).
+    gens: Option<Vec<GenTrack<'a>>>,
     /// For each vertex, the generators whose `σ` fixes it.
     fixing: Vec<Vec<usize>>,
     /// Conflict-driven machinery below — inert when `learning` is off
@@ -482,7 +560,7 @@ type Trail = Vec<TrailEntry>;
 
 impl<'a> SearchState<'a> {
     /// The initial state of a search over `instance`: every vertex
-    /// unassigned with its validity domain, no generators tracked, an
+    /// unassigned with its validity domain, no generators installed, an
     /// empty nogood store of capacity `nogood_cap`.
     fn new<V>(
         instance: &'a PreparedInstance<V>,
@@ -501,7 +579,7 @@ impl<'a> SearchState<'a> {
             facets_of: &instance.facets_of,
             constraint,
             forward_checking,
-            gens: Vec::new(),
+            gens: None,
             fixing: vec![Vec::new(); n],
             learning,
             level_of: vec![0; n],
@@ -541,6 +619,47 @@ impl<'a> SearchState<'a> {
         }
     }
 
+    /// Installs `syms` as the tracked generators. A vertex `w` violates
+    /// a generator `(σ, π)` iff it is assigned and `assigned[σ(w)] ≠
+    /// π(assigned[w])`: computed from the current partial assignment,
+    /// the flags are exactly what incremental upkeep from the root
+    /// would have left, so the search goes on as if the generators had
+    /// been tracked all along.
+    fn install_generators(&mut self, syms: &'a [InstanceSymmetry]) {
+        let assigned = &self.assigned;
+        let gens: Vec<GenTrack<'a>> = syms
+            .iter()
+            .map(|s| {
+                let mut inv = vec![0u32; s.vertex.len()];
+                for (i, &j) in s.vertex.iter().enumerate() {
+                    inv[j as usize] = i as u32;
+                }
+                let vflag: Vec<bool> = (0..s.vertex.len())
+                    .map(|w| {
+                        assigned[w].is_some_and(|x| {
+                            assigned[s.vertex[w] as usize] != Some(s.values[x as usize])
+                        })
+                    })
+                    .collect();
+                GenTrack {
+                    vertex: &s.vertex,
+                    inv,
+                    values: &s.values,
+                    viol: vflag.iter().filter(|&&f| f).count(),
+                    vflag,
+                }
+            })
+            .collect();
+        for (gi, g) in gens.iter().enumerate() {
+            for (v, &img) in g.vertex.iter().enumerate() {
+                if img as usize == v {
+                    self.fixing[v].push(gi);
+                }
+            }
+        }
+        self.gens = Some(gens);
+    }
+
     /// The complete assignment, as each vertex's value in vertex order.
     fn witness(&self) -> Vec<u64> {
         self.assigned
@@ -559,7 +678,7 @@ impl<'a> SearchState<'a> {
         self.unfile(w);
         self.assigned[w] = Some(val);
         let assigned = &self.assigned;
-        for g in &mut self.gens {
+        for g in self.gens.iter_mut().flatten() {
             let w2 = g.vertex[w] as usize;
             if assigned[w2] != Some(g.values[val as usize]) {
                 debug_assert!(!g.vflag[w]);
@@ -587,7 +706,7 @@ impl<'a> SearchState<'a> {
         self.assigned[w] = None;
         self.file(w);
         let assigned = &self.assigned;
-        for g in &mut self.gens {
+        for g in self.gens.iter_mut().flatten() {
             if g.vflag[w] {
                 g.vflag[w] = false;
                 g.viol -= 1;
@@ -1059,6 +1178,28 @@ impl Frame {
         }
     }
 
+    /// Records the refutation of candidate `failed`: covers its orbit
+    /// when a later candidate of this frame is still untried, since
+    /// `covered` is read only by this frame's later candidates. The
+    /// first such refutation of a search installs the generators,
+    /// fetching the instance's symmetries (and so certifying them, if
+    /// the instance defers certification); a search that never gets
+    /// there fetches nothing.
+    fn refute<'a, V>(
+        &mut self,
+        state: &mut SearchState<'a>,
+        instance: &'a PreparedInstance<V>,
+        failed: u64,
+    ) {
+        if self.next == self.candidates.len() {
+            return;
+        }
+        if state.gens.is_none() {
+            state.install_generators(instance.symmetries());
+        }
+        self.cover_orbit(state, failed);
+    }
+
     /// Marks `failed` and its orbit as covered.
     ///
     /// **Soundness.** Called only when the subtree under
@@ -1082,13 +1223,14 @@ impl Frame {
     /// first witness found, because skipped candidates could only ever
     /// fail.
     fn cover_orbit(&mut self, state: &SearchState<'_>, failed: u64) {
-        if state.gens.is_empty() {
-            return;
-        }
+        let gens = match &state.gens {
+            Some(gens) if !gens.is_empty() => gens,
+            _ => return,
+        };
         let active: Vec<usize> = state.fixing[self.vi]
             .iter()
             .copied()
-            .filter(|&g| state.gens[g].viol == 0)
+            .filter(|&g| gens[g].viol == 0)
             .collect();
         if active.is_empty() {
             return;
@@ -1099,7 +1241,7 @@ impl Frame {
         let mut queue = vec![failed];
         while let Some(x) = queue.pop() {
             for &g in &active {
-                let y = state.gens[g].values[x as usize];
+                let y = gens[g].values[x as usize];
                 if !self.covered.contains(&y) {
                     self.covered.push(y);
                     queue.push(y);
@@ -1213,36 +1355,13 @@ impl DecisionMapSolver {
         );
         // Orbit branching transports solutions along value bijections,
         // which preserves distinct-value counts (AtMostKDistinct,
-        // AllDistinct) but not value *ranges* — MaxRange stays unpruned.
-        let use_symmetry = !instance.symmetries.is_empty()
-            && !matches!(constraint, AgreementConstraint::MaxRange(_));
-        if use_symmetry {
-            state.gens = instance
-                .symmetries
-                .iter()
-                .map(|s| {
-                    let mut inv = vec![0u32; s.vertex.len()];
-                    for (i, &j) in s.vertex.iter().enumerate() {
-                        inv[j as usize] = i as u32;
-                    }
-                    GenTrack {
-                        vertex: s.vertex.clone(),
-                        inv,
-                        values: s.values.clone(),
-                        viol: 0,
-                        vflag: vec![false; s.vertex.len()],
-                    }
-                })
-                .collect();
+        // AllDistinct) but not value *ranges*: MaxRange stays unpruned,
+        // so its search starts with no generators to install and never
+        // fetches the instance's symmetries.
+        if matches!(constraint, AgreementConstraint::MaxRange(_)) {
+            state.gens = Some(Vec::new());
         }
-        for (gi, g) in state.gens.iter().enumerate() {
-            for (v, &img) in g.vertex.iter().enumerate() {
-                if img as usize == v {
-                    state.fixing[v].push(gi);
-                }
-            }
-        }
-        let solved = self.backtrack(&mut state);
+        let solved = self.backtrack(instance, &mut state);
         self.last_nogoods = state
             .store
             .items
@@ -1312,7 +1431,11 @@ impl DecisionMapSolver {
     /// levels in between wholesale — their re-enumeration is what
     /// chronological search wastes time on), and the remaining levels
     /// become part of the target frame's own explanation.
-    fn backtrack(&mut self, state: &mut SearchState<'_>) -> bool {
+    fn backtrack<'a, V>(
+        &mut self,
+        instance: &'a PreparedInstance<V>,
+        state: &mut SearchState<'a>,
+    ) -> bool {
         let mut stack: Vec<Frame> = Vec::new();
         match Self::select(state) {
             None => return true, // no vertex to branch on
@@ -1334,7 +1457,7 @@ impl DecisionMapSolver {
                 // the candidate whose subtree just failed (the cursor
                 // advanced past it before descending)
                 let failed = frame.candidates[frame.next - 1];
-                frame.cover_orbit(state, failed);
+                frame.refute(state, instance, failed);
             }
             let mut descended = false;
             while frame.next < frame.candidates.len() {
@@ -1354,7 +1477,7 @@ impl DecisionMapSolver {
                     }
                     Err(mut expl) => {
                         self.stats.backtracks += 1;
-                        frame.cover_orbit(state, val);
+                        frame.refute(state, instance, val);
                         // the candidate's refutation conditioned on this
                         // frame's own level explains only the candidate,
                         // not the levels above it
@@ -1963,6 +2086,59 @@ mod tests {
         let got = solver.solve_prepared(&inst, AgreementConstraint::MaxRange(1));
         assert!(got.is_some());
         assert_eq!(solver.stats().orbit_skips, 0);
+    }
+
+    /// Generators installed mid-search ([`SearchState::install_generators`])
+    /// carry exactly the violation flags, counts and fixed-vertex lists
+    /// that tracking them from the root leaves, at every prefix of an
+    /// assignment sequence that sets, clears and re-sets vertices.
+    #[test]
+    fn installing_generators_mid_search_matches_tracking_from_the_root() {
+        let c = Complex::from_facets([s(&[0, 1, 2]), s(&[0, 3])]);
+        let dom = |_: &u32| -> BTreeSet<u64> { (0..3u64).collect() };
+        let mut inst = PreparedInstance::new(&c, dom);
+        // a value swap, and the same swap with vertices 1 and 2 swapped
+        let swap_1_2 = ps_symmetry::Perm::transposition(4, 1, 2);
+        let kept = inst.attach_symmetries([
+            value_symmetry(4, vec![1, 0, 2]),
+            InstanceSymmetry::new(swap_1_2, vec![1, 0, 2]).unwrap(),
+        ]);
+        assert_eq!(kept, 2);
+        let syms = inst.symmetries();
+        let constraint = AgreementConstraint::AtMostKDistinct(2);
+        let steps: [(usize, Option<u64>); 7] = [
+            (1, Some(0)),
+            (2, Some(1)),
+            (0, Some(2)),
+            (2, None),
+            (3, Some(2)),
+            (2, Some(0)),
+            (1, None),
+        ];
+        let mut violated = false;
+        for prefix in 0..=steps.len() {
+            let mut tracked = SearchState::new(&inst, constraint, true, false, 1);
+            tracked.install_generators(syms);
+            let mut late = SearchState::new(&inst, constraint, true, false, 1);
+            for &(w, val) in &steps[..prefix] {
+                for state in [&mut tracked, &mut late] {
+                    match val {
+                        Some(x) => state.set_assigned(w, x),
+                        None => state.clear_assigned(w),
+                    }
+                }
+            }
+            late.install_generators(syms);
+            assert_eq!(tracked.fixing, late.fixing);
+            let (tracked, late) = (tracked.gens.unwrap(), late.gens.unwrap());
+            for (a, b) in tracked.iter().zip(&late) {
+                assert_eq!(a.vflag, b.vflag, "flags after {prefix} steps");
+                assert_eq!(a.viol, b.viol, "violations after {prefix} steps");
+                violated |= a.viol > 0;
+            }
+            assert_eq!(tracked.len(), late.len());
+        }
+        assert!(violated, "no prefix violates a generator");
     }
 
     proptest! {

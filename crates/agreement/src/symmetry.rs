@@ -19,14 +19,23 @@
 //! the failure pattern, closed into the full group when small) and
 //! value permutations from the symmetric group on the input alphabet;
 //! each candidate pair acts on full-information views by relabeling,
-//! is lifted through the vertex pool, and kept only if certified.
+//! is lifted to a vertex permutation by looking the relabeled views
+//! up, and kept only if certified.
+//!
+//! One certification core serves two callers. [`task_symmetries`]
+//! certifies an interned complex, looking views up in its pool. The
+//! sweeps keep neither pool nor complex once an instance is prepared:
+//! they attach a deferred certifier, which certifies the same set on
+//! the solver's first need, over the instance's own labels (looked up
+//! through a borrowed index), the complex's pseudosphere cover and the
+//! instance's facet lists.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use ps_core::ProcessId;
 use ps_models::{SsView, View};
-use ps_symmetry::{canonical_form, pool_permutation, AutomorphismValidator, Perm};
-use ps_topology::{IdComplex, Label, VertexPool};
+use ps_symmetry::{canonical_form, label_permutation, AutomorphismValidator, Perm};
+use ps_topology::{IdComplex, IdSimplex, Label, PseudosphereCover, VertexPool};
 
 use crate::solver::PreparedInstance;
 
@@ -148,6 +157,10 @@ fn close_with_cap(gens: &[Perm], n: usize, cap: usize) -> Vec<Perm> {
 /// generated by model-level process and value relabelings — which is
 /// exactly the part whose action on domains is known, making
 /// domain-equivariance checkable downstream.
+///
+/// The sweeps certify the same set later, and only when the solver
+/// needs it (see [`crate::PreparedInstance`]); this eager entry point
+/// serves callers that hold the pool and the complex.
 pub fn task_symmetries<V: SymmetricView>(
     pool: &VertexPool<V>,
     complex: &IdComplex,
@@ -155,106 +168,199 @@ pub fn task_symmetries<V: SymmetricView>(
     proc_gens: &[Vec<ProcessId>],
     values: &BTreeSet<u64>,
 ) -> Vec<InstanceSymmetry> {
-    debug_assert!(proc_gens.iter().all(|t| t.len() == n_plus_1));
-    let vals: Vec<u64> = values.iter().copied().collect();
-    // values are used as table indices downstream; non-dense alphabets
-    // (holes below the max) would need an index indirection — the task
-    // builders here always use {0..=k_max}
-    let dense = vals.iter().enumerate().all(|(i, &v)| i as u64 == v);
-    if !dense || vals.is_empty() {
-        return Vec::new();
-    }
-    let proc_gens: Vec<Perm> = proc_gens
-        .iter()
-        .filter_map(|t| Perm::from_images(t.iter().map(|p| p.0).collect()))
-        .filter(|p| !p.is_identity())
-        .collect();
-    let value_gens: Vec<Perm> = (0..vals.len() as u32)
-        .flat_map(|i| (i + 1..vals.len() as u32).map(move |j| (i, j)))
-        .map(|(i, j)| Perm::transposition(vals.len(), i, j))
-        .collect();
     let validator = AutomorphismValidator::new(complex, pool.len());
-    let mut out: BTreeSet<InstanceSymmetry> = BTreeSet::new();
-    // Each validation walks every facet, so the exhaustive product-group
-    // sweep is affordable only while `group size × facet count` stays
-    // small. Past the budget, validate only the one-sided generators and
-    // form mixed pairs algebraically: a composition of two certified
-    // automorphisms is an automorphism, and process/value relabelings
-    // commute (they substitute disjoint parts of a view), so no facet
-    // walk is needed for the products.
-    const VALIDATION_BUDGET: usize = 500_000;
-    let proc_closure = close_with_cap(&proc_gens, n_plus_1, 128);
-    let value_closure = close_with_cap(&value_gens, vals.len(), 32);
-    let pairs = proc_closure.len() * value_closure.len();
-    let per_pair = complex.facet_count().max(1) + pool.len();
-    if pairs.saturating_mul(per_pair) <= VALIDATION_BUDGET {
-        for rho in &proc_closure {
-            let ptable: Vec<ProcessId> = rho.images().iter().map(|&i| ProcessId(i)).collect();
-            for pi in &value_closure {
-                if rho.is_identity() && pi.is_identity() {
-                    continue;
-                }
-                let vtable: Vec<u64> = pi.images().iter().map(|&i| u64::from(i)).collect();
-                let Some(vperm) =
-                    pool_permutation(pool, |view: &V| view.relabel_tables(&ptable, &vtable))
-                else {
-                    continue;
-                };
-                if !validator.is_automorphism(&vperm) {
-                    continue;
-                }
-                if let Some(sym) = InstanceSymmetry::new(vperm, vtable) {
-                    out.insert(sym);
+    let lift = Lift {
+        labels: pool.labels(),
+        id_of: &|v| pool.id_of(v),
+        validator: &validator,
+        facet_count: complex.facet_count(),
+    };
+    lift.certify(n_plus_1, proc_gens, values)
+}
+
+/// Deferred certification of a prepared task instance: what
+/// [`task_symmetries`] reads besides the instance's own labels and
+/// facet lists, kept from preparation until the solver first fetches
+/// the instance's symmetries.
+#[derive(Clone, Debug)]
+pub(crate) struct Certifier<V> {
+    /// [`certify_prepared`] for the instance's view type. The solver
+    /// places no bound on the view type, so the `SymmetricView` impl
+    /// travels as this monomorphized function.
+    run: fn(&PreparedInstance<V>, &Certifier<V>) -> Vec<InstanceSymmetry>,
+    /// The complex's pseudosphere cover, if it had one.
+    cover: Option<PseudosphereCover>,
+    /// Number of processes.
+    n_plus_1: usize,
+    /// The input alphabet.
+    values: BTreeSet<u64>,
+}
+
+impl<V: SymmetricView> Certifier<V> {
+    /// Certification of the task over `values` with `n_plus_1`
+    /// processes, on the complex's `cover`.
+    pub(crate) fn new(
+        cover: Option<PseudosphereCover>,
+        n_plus_1: usize,
+        values: &BTreeSet<u64>,
+    ) -> Self {
+        Certifier {
+            run: certify_prepared::<V>,
+            cover,
+            n_plus_1,
+            values: values.clone(),
+        }
+    }
+}
+
+impl<V> Certifier<V> {
+    /// The task symmetries of `instance`, certified as
+    /// [`task_symmetries`] would on the complex it was prepared from.
+    pub(crate) fn certify(&self, instance: &PreparedInstance<V>) -> Vec<InstanceSymmetry> {
+        (self.run)(instance, self)
+    }
+}
+
+/// [`Certifier::certify`] for one view type: the instance's labels,
+/// looked up through a borrowed index, on the cover with a fallback
+/// walk over the instance's facet lists.
+fn certify_prepared<V: SymmetricView>(
+    instance: &PreparedInstance<V>,
+    certifier: &Certifier<V>,
+) -> Vec<InstanceSymmetry> {
+    let labels = instance.vertex_labels();
+    let index: HashMap<&V, u32> = labels.iter().zip(0..).collect();
+    let facets = || {
+        instance.facets.iter().map(|f| {
+            let ids = f.iter().map(|&v| v as u32).collect();
+            IdSimplex::from_sorted_ids(ids)
+        })
+    };
+    let validator =
+        AutomorphismValidator::with_facets(certifier.cover.as_ref(), labels.len(), facets);
+    let lift = Lift {
+        labels,
+        id_of: &|v| index.get(v).copied(),
+        validator: &validator,
+        facet_count: instance.facet_count(),
+    };
+    let proc_gens = ps_models::process_transpositions(certifier.n_plus_1);
+    lift.certify(certifier.n_plus_1, &proc_gens, &certifier.values)
+}
+
+/// What the certification core reads: the labels, a lookup from label
+/// to vertex id, the automorphism validator, and the facet count that
+/// sizes the validation budget.
+struct Lift<'a, V> {
+    labels: &'a [V],
+    id_of: &'a dyn Fn(&V) -> Option<u32>,
+    validator: &'a AutomorphismValidator<'a>,
+    facet_count: usize,
+}
+
+impl<V: SymmetricView> Lift<'_, V> {
+    /// The vertex permutation a process table and a value table induce
+    /// by relabeling every view, if it is an automorphism.
+    fn automorphism(&self, ptable: &[ProcessId], vtable: &[u64]) -> Option<Perm> {
+        let vperm = label_permutation(self.labels, self.id_of, |view: &V| {
+            view.relabel_tables(ptable, vtable)
+        })?;
+        self.validator.is_automorphism(&vperm).then_some(vperm)
+    }
+
+    /// The certification core behind [`task_symmetries`] and
+    /// [`Certifier::certify`].
+    fn certify(
+        &self,
+        n_plus_1: usize,
+        proc_gens: &[Vec<ProcessId>],
+        values: &BTreeSet<u64>,
+    ) -> Vec<InstanceSymmetry> {
+        debug_assert!(proc_gens.iter().all(|t| t.len() == n_plus_1));
+        let vals: Vec<u64> = values.iter().copied().collect();
+        // values are used as table indices downstream; non-dense alphabets
+        // (holes below the max) would need an index indirection — the task
+        // builders here always use {0..=k_max}
+        let dense = vals.iter().enumerate().all(|(i, &v)| i as u64 == v);
+        if !dense || vals.is_empty() {
+            return Vec::new();
+        }
+        let proc_gens: Vec<Perm> = proc_gens
+            .iter()
+            .filter_map(|t| Perm::from_images(t.iter().map(|p| p.0).collect()))
+            .filter(|p| !p.is_identity())
+            .collect();
+        let value_gens: Vec<Perm> = (0..vals.len() as u32)
+            .flat_map(|i| (i + 1..vals.len() as u32).map(move |j| (i, j)))
+            .map(|(i, j)| Perm::transposition(vals.len(), i, j))
+            .collect();
+        let mut out: BTreeSet<InstanceSymmetry> = BTreeSet::new();
+        // Each validation walks every facet, so the exhaustive product-group
+        // sweep is affordable only while `group size × facet count` stays
+        // small. Past the budget, validate only the one-sided generators and
+        // form mixed pairs algebraically: a composition of two certified
+        // automorphisms is an automorphism, and process/value relabelings
+        // commute (they substitute disjoint parts of a view), so no facet
+        // walk is needed for the products.
+        const VALIDATION_BUDGET: usize = 500_000;
+        let proc_closure = close_with_cap(&proc_gens, n_plus_1, 128);
+        let value_closure = close_with_cap(&value_gens, vals.len(), 32);
+        let pairs = proc_closure.len() * value_closure.len();
+        let per_pair = self.facet_count.max(1) + self.labels.len();
+        if pairs.saturating_mul(per_pair) <= VALIDATION_BUDGET {
+            for rho in &proc_closure {
+                let ptable: Vec<ProcessId> = rho.images().iter().map(|&i| ProcessId(i)).collect();
+                for pi in &value_closure {
+                    if rho.is_identity() && pi.is_identity() {
+                        continue;
+                    }
+                    let vtable: Vec<u64> = pi.images().iter().map(|&i| u64::from(i)).collect();
+                    let Some(vperm) = self.automorphism(&ptable, &vtable) else {
+                        continue;
+                    };
+                    if let Some(sym) = InstanceSymmetry::new(vperm, vtable) {
+                        out.insert(sym);
+                    }
                 }
             }
+            return out.into_iter().collect();
         }
-        return out.into_iter().collect();
+        let id_ptable: Vec<ProcessId> = (0..n_plus_1 as u32).map(ProcessId).collect();
+        let id_vtable: Vec<u64> = (0..vals.len() as u64).collect();
+        let mut certified_proc: Vec<InstanceSymmetry> = Vec::new();
+        for rho in &proc_gens {
+            let ptable: Vec<ProcessId> = rho.images().iter().map(|&i| ProcessId(i)).collect();
+            let Some(vperm) = self.automorphism(&ptable, &id_vtable) else {
+                continue;
+            };
+            if let Some(sym) = InstanceSymmetry::new(vperm, id_vtable.clone()) {
+                certified_proc.push(sym);
+            }
+        }
+        let mut certified_val: Vec<InstanceSymmetry> = Vec::new();
+        for pi in &value_gens {
+            let vtable: Vec<u64> = pi.images().iter().map(|&i| u64::from(i)).collect();
+            let Some(vperm) = self.automorphism(&id_ptable, &vtable) else {
+                continue;
+            };
+            if let Some(sym) = InstanceSymmetry::new(vperm, vtable) {
+                certified_val.push(sym);
+            }
+        }
+        // mixed pairs: vertex part composes as σ_π ∘ σ_ρ, value part is π's
+        for sp in &certified_proc {
+            for sv in &certified_val {
+                let vertex: Vec<u32> = sp.vertex.iter().map(|&w| sv.vertex[w as usize]).collect();
+                out.insert(InstanceSymmetry {
+                    vertex,
+                    values: sv.values.clone(),
+                });
+            }
+        }
+        out.extend(certified_proc);
+        out.extend(certified_val);
+        out.into_iter().collect()
     }
-    let id_ptable: Vec<ProcessId> = (0..n_plus_1 as u32).map(ProcessId).collect();
-    let id_vtable: Vec<u64> = (0..vals.len() as u64).collect();
-    let mut certified_proc: Vec<InstanceSymmetry> = Vec::new();
-    for rho in &proc_gens {
-        let ptable: Vec<ProcessId> = rho.images().iter().map(|&i| ProcessId(i)).collect();
-        let Some(vperm) =
-            pool_permutation(pool, |view: &V| view.relabel_tables(&ptable, &id_vtable))
-        else {
-            continue;
-        };
-        if !validator.is_automorphism(&vperm) {
-            continue;
-        }
-        if let Some(sym) = InstanceSymmetry::new(vperm, id_vtable.clone()) {
-            certified_proc.push(sym);
-        }
-    }
-    let mut certified_val: Vec<InstanceSymmetry> = Vec::new();
-    for pi in &value_gens {
-        let vtable: Vec<u64> = pi.images().iter().map(|&i| u64::from(i)).collect();
-        let Some(vperm) =
-            pool_permutation(pool, |view: &V| view.relabel_tables(&id_ptable, &vtable))
-        else {
-            continue;
-        };
-        if !validator.is_automorphism(&vperm) {
-            continue;
-        }
-        if let Some(sym) = InstanceSymmetry::new(vperm, vtable) {
-            certified_val.push(sym);
-        }
-    }
-    // mixed pairs: vertex part composes as σ_π ∘ σ_ρ, value part is π's
-    for sp in &certified_proc {
-        for sv in &certified_val {
-            let vertex: Vec<u32> = sp.vertex.iter().map(|&w| sv.vertex[w as usize]).collect();
-            out.insert(InstanceSymmetry {
-                vertex,
-                values: sv.values.clone(),
-            });
-        }
-    }
-    out.extend(certified_proc);
-    out.extend(certified_val);
-    out.into_iter().collect()
 }
 
 /// A canonical cache key for a prepared instance: the canonically

@@ -3,10 +3,11 @@
 //!
 //! A symmetry of a protocol complex is naturally described at the
 //! *label* level — e.g. "swap processes 1 and 2 and swap input values
-//! 0 and 1", acting on full-information views. [`pool_permutation`]
+//! 0 and 1", acting on full-information views. [`label_permutation`]
 //! lifts such a label action to a permutation of dense vertex ids by
-//! looking each image up in the pool, and fails (returns `None`) when
-//! the action does not map the pool's label set onto itself. Once
+//! looking each image up (in a pool, for [`pool_permutation`]), and
+//! fails (returns `None`) when the action does not map the label set
+//! onto itself. Once
 //! lifted, checking that the action preserves an [`IdComplex`] is a
 //! check on the complex's pseudosphere cover, or else a facet-set
 //! membership scan ([`AutomorphismValidator`]).
@@ -14,20 +15,34 @@
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
-use ps_topology::{IdComplex, IdSimplex, Label, VertexPool};
+use ps_topology::{IdComplex, IdSimplex, Label, PseudosphereCover, VertexPool};
 
 use crate::perm::Perm;
 
 /// Lifts a label-level action to a vertex-id permutation through a
-/// pool.
+/// pool: [`label_permutation`] with the pool's lookup.
 ///
 /// Returns `None` when the action is not a bijection of the pool's
 /// label set onto itself (some image is not an interned label, or two
 /// labels collide). The resulting permutation has degree `pool.len()`.
 pub fn pool_permutation<V: Label>(pool: &VertexPool<V>, act: impl Fn(&V) -> V) -> Option<Perm> {
-    let mut images = Vec::with_capacity(pool.len());
-    for v in pool.labels() {
-        images.push(pool.id_of(&act(v))?);
+    label_permutation(pool.labels(), |v| pool.id_of(v), act)
+}
+
+/// Lifts a label-level action to a vertex-id permutation: vertex `i`
+/// (labelled `labels[i]`) maps to the id `id_of` gives its image.
+///
+/// Returns `None` when the action is not a bijection of the label set
+/// onto itself (some image has no id, or two labels collide). The
+/// resulting permutation has degree `labels.len()`.
+pub fn label_permutation<V>(
+    labels: &[V],
+    id_of: impl Fn(&V) -> Option<u32>,
+    act: impl Fn(&V) -> V,
+) -> Option<Perm> {
+    let mut images = Vec::with_capacity(labels.len());
+    for v in labels {
+        images.push(id_of(&act(v))?);
     }
     Perm::from_images(images)
 }
@@ -72,12 +87,18 @@ pub fn apply_to_complex(perm: &Perm, c: &IdComplex) -> IdComplex {
 /// first need. A cover check that fails proves nothing (a cover need
 /// not be preserved by every automorphism), so the certified set is
 /// exactly the facet walk's.
+///
+/// [`AutomorphismValidator::new`] reads the cover and the facets off an
+/// [`IdComplex`]; [`AutomorphismValidator::with_facets`] takes them
+/// from whatever holds them instead, so a caller that kept only the
+/// cover and a facet list certifies without rebuilding the complex.
 pub struct AutomorphismValidator<'a> {
-    complex: &'a IdComplex,
     n: usize,
     /// The cover's pseudospheres, by [`slot_list_key`].
     cover: Option<HashSet<Box<[u32]>>>,
-    /// Facet ↦ position in sorted facet order, built on first need.
+    /// Lists the facets for the walk, each with its position.
+    walk: Box<dyn Fn() -> HashMap<IdSimplex, usize> + 'a>,
+    /// Facet ↦ position in the walk's facet order, built on first need.
     facets: OnceCell<HashMap<IdSimplex, usize>>,
 }
 
@@ -105,12 +126,29 @@ fn slot_list_key(slots: &mut [u32], key: &mut Vec<u32>) {
 }
 
 impl<'a> AutomorphismValidator<'a> {
-    /// Prepares `c` for repeated validation. Vertex ids in `c` must be
-    /// dense (`< n`), where `n` is the degree of the permutations to
-    /// validate.
+    /// Prepares `c` for repeated validation, on its cover and its
+    /// facets. Vertex ids in `c` must be dense (`< n`), where `n` is the
+    /// degree of the permutations to validate.
     pub fn new(c: &'a IdComplex, n: usize) -> AutomorphismValidator<'a> {
         debug_assert!(c.vertex_set().iter().all(|&v| (v as usize) < n));
-        let cover = c.pseudosphere_cover().map(|cover| {
+        Self::with_facets(c.pseudosphere_cover(), n, move || c.facets().cloned())
+    }
+
+    /// Prepares the complex with pseudosphere cover `cover` (if one is
+    /// known) and the facets `facets` lists for repeated validation.
+    /// `facets` runs at most once, when a check first needs the walk;
+    /// the positions [`AutomorphismValidator::facet_action`] permutes
+    /// are its listing order. Vertex ids must be dense (`< n`), where
+    /// `n` is the degree of the permutations to validate.
+    pub fn with_facets<I>(
+        cover: Option<&PseudosphereCover>,
+        n: usize,
+        facets: impl Fn() -> I + 'a,
+    ) -> AutomorphismValidator<'a>
+    where
+        I: Iterator<Item = IdSimplex>,
+    {
+        let cover = cover.map(|cover| {
             let mut slots = Vec::new();
             let mut key = Vec::new();
             cover
@@ -124,22 +162,16 @@ impl<'a> AutomorphismValidator<'a> {
                 .collect()
         });
         AutomorphismValidator {
-            complex: c,
             n,
             cover,
+            walk: Box::new(move || facets().enumerate().map(|(i, f)| (f, i)).collect()),
             facets: OnceCell::new(),
         }
     }
 
     /// The facet index, built on first call.
     fn facet_index(&self) -> &HashMap<IdSimplex, usize> {
-        self.facets.get_or_init(|| {
-            self.complex
-                .facets()
-                .enumerate()
-                .map(|(i, f)| (f.clone(), i))
-                .collect()
-        })
+        self.facets.get_or_init(&self.walk)
     }
 
     /// Whether `perm` maps the set of recorded pseudospheres onto
@@ -185,7 +217,8 @@ impl<'a> AutomorphismValidator<'a> {
     }
 
     /// The permutation induced on *facet indices* (positions in the
-    /// complex's sorted facet order) by a vertex automorphism, or
+    /// facet listing: the complex's sorted facet order for
+    /// [`AutomorphismValidator::new`]) by a vertex automorphism, or
     /// `None` if `perm` is not an automorphism.
     pub fn facet_action(&self, perm: &Perm) -> Option<Perm> {
         if perm.degree() != self.n {

@@ -34,7 +34,9 @@ pub mod canon;
 pub mod orbits;
 pub mod perm;
 
-pub use action::{apply_to_complex, apply_to_simplex, pool_permutation, AutomorphismValidator};
+pub use action::{
+    apply_to_complex, apply_to_simplex, label_permutation, pool_permutation, AutomorphismValidator,
+};
 pub use canon::{canonical_form, canonical_form_of, CanonicalForm, DEFAULT_BUDGET};
 pub use orbits::{orbit_of, orbit_partition, point_stabilizer};
 pub use perm::{all_permutations, transpositions, Perm};

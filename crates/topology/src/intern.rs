@@ -111,6 +111,13 @@ impl<V: Label> VertexPool<V> {
         &self.labels
     }
 
+    /// The labels, indexed by id, moved out of the pool. The pool's
+    /// lookup table, which holds a second copy of every label, is
+    /// dropped.
+    pub fn into_labels(self) -> Vec<V> {
+        self.labels
+    }
+
     /// Interns every vertex of a label simplex.
     pub fn intern_simplex(&mut self, s: &Simplex<V>) -> IdSimplex {
         IdSimplex::from_ids(
@@ -822,6 +829,12 @@ impl IdComplex {
     /// [`IdComplex::insert_facet_unchecked`] drop it.
     pub fn pseudosphere_cover(&self) -> Option<&PseudosphereCover> {
         self.cover.as_ref()
+    }
+
+    /// The [pseudosphere cover](IdComplex::pseudosphere_cover), moved
+    /// out of the complex; the facets are dropped.
+    pub fn into_pseudosphere_cover(self) -> Option<PseudosphereCover> {
+        self.cover
     }
 
     /// Iterator over facets in lexicographic id order.
@@ -1605,6 +1618,16 @@ mod tests {
         let mut inserted = c.clone();
         inserted.insert_facet_unchecked(ids(&[8, 9]));
         assert!(inserted.pseudosphere_cover().is_none());
+    }
+
+    #[test]
+    fn parts_move_out_as_labels_and_cover() {
+        let (pool, c) = square_builder().into_parts();
+        let labels = pool.labels().to_vec();
+        let cover = c.pseudosphere_cover().cloned();
+        assert_eq!(pool.into_labels(), labels);
+        assert!(cover.is_some());
+        assert_eq!(c.into_pseudosphere_cover(), cover);
     }
 
     #[test]
