@@ -475,40 +475,21 @@ fn sync_point(
         }
     };
 
-    let mut executions = 0u64;
-    let mut first_witness: Option<(u64, WitnessSchedule, String)> = None;
-    for schedule in &schedules {
-        for inputs in &assignments {
-            executions += 1;
-            let exec = SyncExecutor::new(protocol, n_plus_1, f);
-            let mut adv = ScriptedAdversary {
-                script: schedule
-                    .iter()
-                    .map(|p| RoundFailures { crashes: p.clone() })
-                    .collect(),
-            };
-            let trace = exec.run(inputs, &mut adv, rounds);
-            if let Some(what) =
-                violation(&trace, &task, &inputs.iter().copied().collect(), &everyone)
-            {
-                let witness = WitnessSchedule::Sync {
-                    inputs: inputs.clone(),
-                    schedule: schedule.clone(),
-                };
-                if solvable {
-                    return PointOutcome::Fail {
-                        executions,
-                        witness,
-                        violation: what,
-                    };
-                }
-                if first_witness.is_none() {
-                    first_witness = Some((executions, witness, what));
-                }
-            }
-        }
-    }
-    outcome(solvable, executions, first_witness)
+    judge(&schedules, &assignments, solvable, |schedule, inputs| {
+        let mut adv = ScriptedAdversary {
+            script: schedule
+                .iter()
+                .map(|p| RoundFailures { crashes: p.clone() })
+                .collect(),
+        };
+        let trace = SyncExecutor::new(protocol, n_plus_1, f).run(inputs, &mut adv, rounds);
+        let what = violation(&trace, &task, &inputs.iter().copied().collect(), &everyone)?;
+        let witness = WitnessSchedule::Sync {
+            inputs: inputs.to_vec(),
+            schedule: schedule.clone(),
+        };
+        Some((witness, what))
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -562,59 +543,74 @@ fn async_point(
         }
     }
 
-    let mut executions = 0u64;
-    let mut first_witness: Option<(u64, WitnessSchedule, String)> = None;
-    for (participants, schedule) in &runs {
-        for inputs in &assignments {
-            executions += 1;
-            let exec = AsyncExecutor::new(protocol, n_plus_1, f);
+    judge(
+        &runs,
+        &assignments,
+        solvable,
+        |(participants, schedule), inputs| {
             let mut adv = ScriptedHeardSets {
                 script: schedule.clone(),
             };
-            let trace = exec.run(inputs, participants, &mut adv, rounds);
-            if let Some(what) = violation(
+            let trace = AsyncExecutor::new(protocol, n_plus_1, f).run(
+                inputs,
+                participants,
+                &mut adv,
+                rounds,
+            );
+            let what = violation(
                 &trace,
                 &task,
                 &inputs.iter().copied().collect(),
                 participants,
-            ) {
-                let witness = WitnessSchedule::Async {
-                    inputs: inputs.clone(),
-                    participants: participants.clone(),
-                    schedule: schedule.clone(),
-                };
-                if solvable {
-                    return PointOutcome::Fail {
-                        executions,
-                        witness,
-                        violation: what,
-                    };
-                }
-                if first_witness.is_none() {
-                    first_witness = Some((executions, witness, what));
-                }
-            }
-        }
-    }
-    outcome(solvable, executions, first_witness)
+            )?;
+            let witness = WitnessSchedule::Async {
+                inputs: inputs.to_vec(),
+                participants: participants.clone(),
+                schedule: schedule.clone(),
+            };
+            Some((witness, what))
+        },
+    )
 }
 
-fn outcome(
+/// Executes every run under every input assignment, in that order.
+/// `execute` runs one pair and returns its witness and violation, if
+/// any. A violation fails a solvable point at once; on an unsolvable
+/// point the first one is kept as the witness.
+fn judge<R>(
+    runs: &[R],
+    assignments: &[Vec<u64>],
     solvable: bool,
-    executions: u64,
-    first_witness: Option<(u64, WitnessSchedule, String)>,
+    mut execute: impl FnMut(&R, &[u64]) -> Option<(WitnessSchedule, String)>,
 ) -> PointOutcome {
-    if solvable {
-        PointOutcome::Pass { executions }
-    } else {
-        match first_witness {
-            Some((at, witness, what)) => PointOutcome::Witness {
-                executions: at,
-                witness,
-                violation: what,
-            },
-            None => PointOutcome::Unbroken { executions },
+    let mut executions = 0u64;
+    let mut first_witness = None;
+    for run in runs {
+        for inputs in assignments {
+            executions += 1;
+            let Some((witness, violation)) = execute(run, inputs) else {
+                continue;
+            };
+            if solvable {
+                return PointOutcome::Fail {
+                    executions,
+                    witness,
+                    violation,
+                };
+            }
+            first_witness.get_or_insert((executions, witness, violation));
         }
+    }
+    if solvable {
+        return PointOutcome::Pass { executions };
+    }
+    match first_witness {
+        Some((at, witness, violation)) => PointOutcome::Witness {
+            executions: at,
+            witness,
+            violation,
+        },
+        None => PointOutcome::Unbroken { executions },
     }
 }
 

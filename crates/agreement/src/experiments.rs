@@ -1292,12 +1292,7 @@ pub fn async_approximate_solvable(
     n_plus_1: usize,
     rounds: usize,
 ) -> SolvabilityResult {
-    use crate::solver::{AgreementConstraint, DecisionMapSolver};
-    let model = AsyncModel::new(n_plus_1, f);
-    let mut complex = Complex::new();
-    for input in input_faces(n_plus_1, values, n_plus_1.saturating_sub(f)) {
-        complex = complex.union(&model.protocol_complex(&input, rounds));
-    }
+    let (pool, complex) = async_task_parts(values, n_plus_1, f, rounds);
     // validity for approximate agreement: anywhere in the inclusive hull
     // of the inputs the view has seen
     let hull = |v: &View<u64>| -> BTreeSet<u64> {
@@ -1307,10 +1302,11 @@ pub fn async_approximate_solvable(
             _ => BTreeSet::new(),
         }
     };
-    let mut solver = DecisionMapSolver::new();
-    let map = solver.solve_with(&complex, hull, AgreementConstraint::MaxRange(range));
+    let inst = PreparedInstance::from_parts(pool, &complex, hull);
     SolvabilityResult {
-        solvable: map.is_some(),
+        solvable: DecisionMapSolver::new()
+            .solve_dense(&inst, AgreementConstraint::MaxRange(range))
+            .is_some(),
         vertices: complex.vertex_count(),
         facets: complex.facet_count(),
     }

@@ -325,8 +325,10 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
+    /// A fresh store directory, private to this test process.
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("psph-serve-unit-{name}"));
+        let dir =
+            std::env::temp_dir().join(format!("psph-serve-unit-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -501,8 +501,10 @@ mod tests {
     use crate::symmetry::{instance_fingerprint, instance_key};
     use std::collections::BTreeSet as Set;
 
+    /// A fresh store directory, private to this test process.
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("psph-store-unit-{name}"));
+        let dir =
+            std::env::temp_dir().join(format!("psph-store-unit-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

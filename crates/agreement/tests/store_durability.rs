@@ -13,8 +13,9 @@ use ps_agreement::{
     solvability_sweep_shared_store, SolvabilityResult, SweepOptions, SweepPoint, VerdictStore,
 };
 
+/// A fresh store directory, private to this test process.
 fn temp_store(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(name);
+    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
 }

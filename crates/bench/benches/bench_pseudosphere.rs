@@ -24,25 +24,6 @@ fn bench_realize(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_realize_interned(c: &mut Criterion) {
-    // the id-native path: materialize into a VertexPool + IdComplex and
-    // stop there (no label resolution) — the form downstream passes
-    // (homology, solver) actually consume
-    let mut group = c.benchmark_group("pseudosphere_realize_interned");
-    for n in [2usize, 3, 4, 5] {
-        for vals in [2u8, 3] {
-            let family: BTreeSet<u8> = (0..vals).collect();
-            let ps = Pseudosphere::uniform(process_simplex(n), family);
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("n={n}_vals={vals}")),
-                &ps,
-                |b, ps| b.iter(|| black_box(ps.realize_interned())),
-            );
-        }
-    }
-    group.finish();
-}
-
 fn bench_union_realize(c: &mut Criterion) {
     // union materialization: members share one pool, absorption on ids
     let mut group = c.benchmark_group("pseudosphere_union_realize");
@@ -109,7 +90,6 @@ fn bench_figure1(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_realize,
-    bench_realize_interned,
     bench_union_realize,
     bench_homology_on_ids,
     bench_symbolic_ops,

@@ -28,8 +28,9 @@ fn grid() -> Vec<SweepPoint> {
     points
 }
 
+/// A fresh store directory, private to this bench process.
 fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(name);
+    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -1,6 +1,15 @@
 //! End-to-end tests for the `psph` binary.
 
+use std::path::PathBuf;
 use std::process::Command;
+
+/// A fresh directory under the system temp dir, private to this test
+/// process so that concurrent test runs never share it.
+fn fresh_temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 fn psph(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_psph"))
@@ -31,8 +40,7 @@ fn figure_3_union_shape() {
 
 #[test]
 fn figure_out_writes_files() {
-    let dir = std::env::temp_dir().join("psph-cli-test");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_temp_dir("psph-cli-test");
     let dir_s = dir.to_str().unwrap();
     let (stdout, _, ok) = psph(&["figure", "2a", "--out", dir_s]);
     assert!(ok, "{stdout}");
@@ -46,6 +54,7 @@ fn figure_out_writes_files() {
     let text = std::fs::read_to_string(dir.join("figure2a.complex")).unwrap();
     let parsed = ps_topology::export::from_text(&text).unwrap();
     assert_eq!(parsed.f_vector(), vec![4, 4]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -434,8 +443,7 @@ fn unknown_options_rejected() {
 
 /// Runs `psph serve` on `queries` and returns its output.
 fn serve_one(name: &str, queries: &str) -> String {
-    let dir = std::env::temp_dir().join(name);
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_temp_dir(name);
     std::fs::create_dir_all(&dir).unwrap();
     let input = dir.join("queries.txt");
     std::fs::write(&input, queries).unwrap();
@@ -578,8 +586,7 @@ fn dynamic_sweep_prints_verdict_table() {
 
 #[test]
 fn serve_parses_new_model_queries() {
-    let dir = std::env::temp_dir().join("psph-cli-serve-models");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_temp_dir("psph-cli-serve-models");
     std::fs::create_dir_all(&dir).unwrap();
     let input = dir.join("queries.txt");
     std::fs::write(
@@ -628,8 +635,7 @@ mod pseudosphere_check {
 
 #[test]
 fn sweep_store_warm_rerun_replays_everything() {
-    let dir = std::env::temp_dir().join("psph-cli-sweep-store");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_temp_dir("psph-cli-sweep-store");
     let store = dir.to_str().unwrap();
     let grid = [
         "sweep", "sync", "--procs", "3", "--f", "1", "--k", "2", "--rounds", "1",
@@ -667,8 +673,7 @@ fn sweep_resume_without_store_is_an_error() {
 
 #[test]
 fn sweep_resume_with_missing_store_is_an_error() {
-    let dir = std::env::temp_dir().join("psph-cli-no-such-store");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_temp_dir("psph-cli-no-such-store");
     let (_, stderr, ok) = psph(&[
         "sweep",
         "sync",
@@ -682,8 +687,7 @@ fn sweep_resume_with_missing_store_is_an_error() {
 
 #[test]
 fn serve_answers_batches_and_reports_metrics() {
-    let dir = std::env::temp_dir().join("psph-cli-serve");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_temp_dir("psph-cli-serve");
     std::fs::create_dir_all(&dir).unwrap();
     let input = dir.join("queries.txt");
     std::fs::write(

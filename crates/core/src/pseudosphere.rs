@@ -9,11 +9,16 @@
 //! simplicial *join* of the discrete sets `U_0, ..., U_m`, which is
 //! homotopy equivalent to a wedge of `Π(|U_i| - 1)` spheres of dimension
 //! `m`; Corollary 6's `(m-1)`-connectivity follows.
+//!
+//! Realization adds the pseudosphere, one slot per effective-base
+//! vertex, to a `ps_topology::InternedBuilder` with `add_pseudosphere`:
+//! the same call that emits every model's round complex, so one walk
+//! enumerates `ψ` wherever it comes from.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use ps_topology::{Complex, IdComplex, IdSimplex, Label, Simplex, VertexPool};
+use ps_topology::{Complex, InternedBuilder, Label, Simplex};
 
 /// Errors from pseudosphere construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -163,77 +168,27 @@ impl<P: Label, U: Label> Pseudosphere<P, U> {
     /// Materializes the explicit complex: facets are all choice functions
     /// `s_i ↦ u_i ∈ U_i` over the effective base.
     pub fn realize(&self) -> Complex<(P, U)> {
-        let (pool, idc) = self.realize_interned();
-        Complex::from_interned(&pool, &idc)
+        let mut builder = InternedBuilder::new();
+        self.add_to(&mut builder);
+        builder.finish()
     }
 
-    /// Materializes the complex in interned form: each vertex `(s_i, u)`
-    /// is interned exactly once, and the odometer emits facets as sorted
-    /// id tuples directly.
-    ///
-    /// The pool is canonical (base vertices ascending, family values
-    /// ascending within each, matching the tuple order on `(P, U)`), and
-    /// distinct top-dimensional facets form an anti-chain, so facets are
-    /// inserted without any absorption scans.
-    pub fn realize_interned(&self) -> (VertexPool<(P, U)>, IdComplex) {
-        let mut pool = VertexPool::new();
-        let mut out = IdComplex::new();
-        self.realize_into(&mut pool, &mut out, true);
-        (pool, out)
-    }
-
-    /// Accumulates the realization into an existing pool and complex.
-    /// With `unchecked` the facets skip absorption scans — only valid
-    /// when `out` starts empty (a single pseudosphere's facets are an
-    /// anti-chain; across several members they may not be).
-    pub(crate) fn realize_into(
-        &self,
-        pool: &mut VertexPool<(P, U)>,
-        out: &mut IdComplex,
-        unchecked: bool,
-    ) {
-        let eff = self.effective_base();
-        if eff.is_empty() {
-            return;
-        }
-        // slot i spans the contiguous id block for (s_i, U_i)
-        let mut slot_ids: Vec<Vec<u32>> = Vec::with_capacity(eff.len());
-        for p in eff.vertices() {
-            slot_ids.push(
-                self.families[p]
-                    .iter()
-                    .map(|u| pool.intern((p.clone(), u.clone())))
-                    .collect(),
-            );
-        }
-        let mut choice = vec![0usize; slot_ids.len()];
-        loop {
-            let facet = IdSimplex::from_ids(
-                slot_ids
-                    .iter()
-                    .zip(&choice)
-                    .map(|(ids, &i)| ids[i])
-                    .collect(),
-            );
-            if unchecked {
-                out.insert_facet_unchecked(facet);
-            } else {
-                out.add_simplex(facet);
-            }
-            // odometer increment
-            let mut i = 0;
-            loop {
-                if i == slot_ids.len() {
-                    return;
-                }
-                choice[i] += 1;
-                if choice[i] < slot_ids[i].len() {
-                    break;
-                }
-                choice[i] = 0;
-                i += 1;
-            }
-        }
+    /// Adds the realization to `builder` as one pseudosphere, with one
+    /// slot per effective-base vertex `s_i` holding `(s_i, u)` for each
+    /// `u ∈ U_i` in family order.
+    pub(crate) fn add_to(&self, builder: &mut InternedBuilder<(P, U)>) {
+        builder.add_pseudosphere(
+            self.effective_base()
+                .vertices()
+                .iter()
+                .map(|p| {
+                    self.families[p]
+                        .iter()
+                        .map(|u| (p.clone(), u.clone()))
+                        .collect()
+                })
+                .collect(),
+        );
     }
 
     /// Lemma 4(3): the intersection of two pseudospheres over the same

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use ps_topology::{Complex, IdComplex, Label, VertexPool};
+use ps_topology::{Complex, InternedBuilder, Label};
 
 use crate::Pseudosphere;
 
@@ -71,17 +71,15 @@ impl<P: Label, U: Label> PseudosphereUnion<P, U> {
 
     /// Materializes the explicit union complex.
     ///
-    /// All members accumulate into one shared vertex pool and interned
-    /// complex, so overlap absorption between members runs on ids; the
-    /// first member's facets are inserted unchecked (a single
-    /// pseudosphere's facets are an anti-chain).
+    /// Every member is added as a pseudosphere to one
+    /// [`InternedBuilder`], so the members share one vertex pool and
+    /// overlap absorption between them runs on ids.
     pub fn realize(&self) -> Complex<(P, U)> {
-        let mut pool = VertexPool::new();
-        let mut out = IdComplex::new();
-        for (i, m) in self.members.iter().enumerate() {
-            m.realize_into(&mut pool, &mut out, i == 0);
+        let mut builder = InternedBuilder::new();
+        for m in &self.members {
+            m.add_to(&mut builder);
         }
-        Complex::from_interned(&pool, &out)
+        builder.finish()
     }
 
     /// The symbolic intersection of this union with a single pseudosphere:

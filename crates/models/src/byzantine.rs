@@ -30,6 +30,16 @@
 //! everyone truthfully — which is the template their forgeries are
 //! derived from.
 //!
+//! Every fixed-`B` build starts the same way: the correct processes'
+//! input views form a simplex and each faulty process keeps its input
+//! view as its reference. One round is one walk of the menus, giving
+//! each correct process its list of possible end-of-round views (the
+//! first faulty process's choice varying fastest).
+//! [`ByzantineModel::protocol_complex`] emits the product of those
+//! lists, first recipient varying fastest, and recurses on each facet;
+//! [`ByzantineModel::one_round_fault_pseudosphere`] makes the lists its
+//! families.
+//!
 //! Mendes–Herlihy's connectivity bound: the protocol complex of an
 //! `(n+1)`-process Byzantine synchronous system stays `(k−1)`-connected
 //! for `r ≤ ⌈t/k⌉` rounds (given enough correct processes,
@@ -50,7 +60,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ps_core::{subsets_up_to_size_lex, ProcessId, Pseudosphere};
-use ps_topology::{Complex, InternedBuilder, Label, Simplex};
+use ps_topology::{for_each_product, Complex, InternedBuilder, Label, Simplex};
 
 use crate::view::{input_views, InputSimplex, View};
 
@@ -147,31 +157,9 @@ impl ByzantineModel {
         let alphabet = equivocation_alphabet(input);
         let views = input_views(input);
         for byz_set in subsets_up_to_size_lex(&participants, self.t.min(participants.len())) {
-            let correct: Simplex<View<I>> = Simplex::new(
-                views
-                    .vertices()
-                    .iter()
-                    .filter(|v| !byz_set.contains(&v.process()))
-                    .cloned()
-                    .collect(),
-            );
-            let byz: BTreeMap<ProcessId, View<I>> = views
-                .vertices()
-                .iter()
-                .filter(|v| byz_set.contains(&v.process()))
-                .map(|v| (v.process(), v.clone()))
-                .collect();
+            let (correct, byz) = fixed_b_start(&views, &byz_set);
             self.rec_into(&correct, &byz, &alphabet, rounds, out);
         }
-    }
-
-    /// The equivocation menu a faulty process `b` (with current true
-    /// view `w`) offers each correct recipient: silence (`None`), or
-    /// `w` claiming any alphabet value as `b`'s input.
-    fn menu<I: Label>(b: ProcessId, w: &View<I>, alphabet: &[I]) -> Vec<Option<View<I>>> {
-        let mut menu: Vec<Option<View<I>>> = vec![None];
-        menu.extend(alphabet.iter().map(|v| Some(forge(w, b, v))));
-        menu
     }
 
     fn rec_into<I: Label>(
@@ -189,17 +177,10 @@ impl ByzantineModel {
             out.add_facet(correct);
             return;
         }
-        let correct_views: Vec<&View<I>> = correct.vertices().iter().collect();
-        let menus: Vec<(ProcessId, Vec<Option<View<I>>>)> = byz
-            .iter()
-            .map(|(b, w)| (*b, Self::menu(*b, w, alphabet)))
-            .collect();
         // The faulty processes' omniscient reference evolution: they
         // hear everyone (correct and faulty) truthfully.
         let mut all: BTreeMap<ProcessId, View<I>> = byz.clone();
-        for v in &correct_views {
-            all.insert(v.process(), (*v).clone());
-        }
+        all.extend(correct.vertices().iter().map(|v| (v.process(), v.clone())));
         let next_byz: BTreeMap<ProcessId, View<I>> = byz
             .keys()
             .map(|b| {
@@ -212,52 +193,16 @@ impl ByzantineModel {
                 )
             })
             .collect();
-        let truths: BTreeMap<ProcessId, View<I>> = correct_views
-            .iter()
-            .map(|v| (v.process(), (*v).clone()))
-            .collect();
-        // Odometer over one menu choice per (recipient, faulty) pair:
-        // pair index ri * |B| + j picks recipient ri's message from
-        // faulty j.
-        let width = menus.len();
-        let pairs = correct_views.len() * width;
-        let mut idx = vec![0usize; pairs];
-        loop {
-            let next_correct: Simplex<View<I>> = Simplex::new(
-                correct_views
-                    .iter()
-                    .enumerate()
-                    .map(|(ri, v)| {
-                        let mut heard = truths.clone();
-                        for (j, (b, menu)) in menus.iter().enumerate() {
-                            if let Some(m) = &menu[idx[ri * width + j]] {
-                                heard.insert(*b, m.clone());
-                            }
-                        }
-                        View::Round {
-                            process: v.process(),
-                            heard,
-                        }
-                    })
-                    .collect(),
-            );
+        // One end-of-round view per correct recipient, the first
+        // recipient varying fastest: `for_each_product` varies its last
+        // slot fastest, so it walks the recipients' option lists
+        // reversed.
+        let mut options = round_options(correct, byz, alphabet);
+        options.reverse();
+        for_each_product(&options, |pick| {
+            let next_correct = Simplex::new(pick.iter().map(|&v| v.clone()).collect());
             self.rec_into(&next_correct, &next_byz, alphabet, rounds - 1, out);
-            if pairs == 0 {
-                return;
-            }
-            let mut i = 0;
-            loop {
-                if i == pairs {
-                    return;
-                }
-                idx[i] += 1;
-                if idx[i] < menus[i % width].1.len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
+        });
     }
 
     /// The fixed-`B` one-round complex — the Byzantine analogue of the
@@ -267,24 +212,9 @@ impl ByzantineModel {
         input: &InputSimplex<I>,
         byz_set: &BTreeSet<ProcessId>,
     ) -> Complex<View<I>> {
-        let alphabet = equivocation_alphabet(input);
-        let views = input_views(input);
-        let correct: Simplex<View<I>> = Simplex::new(
-            views
-                .vertices()
-                .iter()
-                .filter(|v| !byz_set.contains(&v.process()))
-                .cloned()
-                .collect(),
-        );
-        let byz: BTreeMap<ProcessId, View<I>> = views
-            .vertices()
-            .iter()
-            .filter(|v| byz_set.contains(&v.process()))
-            .map(|v| (v.process(), v.clone()))
-            .collect();
+        let (correct, byz) = fixed_b_start(&input_views(input), byz_set);
         let mut out = InternedBuilder::new();
-        self.rec_into(&correct, &byz, &alphabet, 1, &mut out);
+        self.rec_into(&correct, &byz, &equivocation_alphabet(input), 1, &mut out);
         out.finish()
     }
 
@@ -299,64 +229,82 @@ impl ByzantineModel {
         input: &InputSimplex<I>,
         byz_set: &BTreeSet<ProcessId>,
     ) -> Pseudosphere<ProcessId, View<I>> {
-        let alphabet = equivocation_alphabet(input);
-        let views = input_views(input);
-        let correct_views: Vec<&View<I>> = views
+        let (correct, byz) = fixed_b_start(&input_views(input), byz_set);
+        let options = round_options(&correct, &byz, &equivocation_alphabet(input));
+        let families: BTreeMap<ProcessId, BTreeSet<View<I>>> = correct
             .vertices()
             .iter()
-            .filter(|v| !byz_set.contains(&v.process()))
+            .zip(options)
+            .map(|(v, views)| (v.process(), views.into_iter().collect()))
             .collect();
-        let menus: Vec<(ProcessId, Vec<Option<View<I>>>)> = views
-            .vertices()
-            .iter()
-            .filter(|v| byz_set.contains(&v.process()))
-            .map(|v| (v.process(), Self::menu(v.process(), v, &alphabet)))
-            .collect();
-        let truths: BTreeMap<ProcessId, View<I>> = correct_views
-            .iter()
-            .map(|v| (v.process(), (*v).clone()))
-            .collect();
-        let base = Simplex::new(correct_views.iter().map(|v| v.process()).collect());
-        let families: BTreeMap<ProcessId, BTreeSet<View<I>>> = correct_views
-            .iter()
-            .map(|v| {
-                let mut fam = BTreeSet::new();
-                let mut idx = vec![0usize; menus.len()];
-                loop {
-                    let mut heard = truths.clone();
-                    for (j, (b, menu)) in menus.iter().enumerate() {
-                        if let Some(m) = &menu[idx[j]] {
-                            heard.insert(*b, m.clone());
-                        }
-                    }
-                    fam.insert(View::Round {
-                        process: v.process(),
-                        heard,
-                    });
-                    if menus.is_empty() {
-                        break;
-                    }
-                    let mut i = 0;
-                    loop {
-                        if i == menus.len() {
-                            break;
-                        }
-                        idx[i] += 1;
-                        if idx[i] < menus[i].1.len() {
-                            break;
-                        }
-                        idx[i] = 0;
-                        i += 1;
-                    }
-                    if idx.iter().all(|&x| x == 0) {
-                        break;
-                    }
-                }
-                (v.process(), fam)
-            })
-            .collect();
+        let base = families.keys().copied().collect();
         Pseudosphere::new(base, families).expect("families cover base")
     }
+}
+
+/// The start of a fixed-`B` execution: the correct processes' input
+/// views as a simplex, and each faulty process's reference view.
+fn fixed_b_start<I: Label>(
+    views: &Simplex<View<I>>,
+    byz_set: &BTreeSet<ProcessId>,
+) -> (Simplex<View<I>>, BTreeMap<ProcessId, View<I>>) {
+    let (byz, correct): (Vec<View<I>>, Vec<View<I>>) = views
+        .vertices()
+        .iter()
+        .cloned()
+        .partition(|v| byz_set.contains(&v.process()));
+    (
+        Simplex::new(correct),
+        byz.into_iter().map(|v| (v.process(), v)).collect(),
+    )
+}
+
+/// Each correct process's possible end-of-round views, in the order of
+/// `correct`: every correct process hears every correct process
+/// truthfully, and each faulty process `b` (with true view `w`) through
+/// one entry of its equivocation menu — silence, or `w` claiming any
+/// alphabet value as `b`'s input. The first faulty process's choice
+/// varies fastest.
+fn round_options<I: Label>(
+    correct: &Simplex<View<I>>,
+    byz: &BTreeMap<ProcessId, View<I>>,
+    alphabet: &[I],
+) -> Vec<Vec<View<I>>> {
+    let truths: BTreeMap<ProcessId, View<I>> = correct
+        .vertices()
+        .iter()
+        .map(|v| (v.process(), v.clone()))
+        .collect();
+    let mut heards = vec![truths];
+    for (b, w) in byz {
+        let mut menu = vec![None];
+        menu.extend(alphabet.iter().map(|v| Some(forge(w, *b, v))));
+        heards = menu
+            .iter()
+            .flat_map(|entry| {
+                heards.iter().map(move |heard| {
+                    let mut heard = heard.clone();
+                    if let Some(m) = entry {
+                        heard.insert(*b, m.clone());
+                    }
+                    heard
+                })
+            })
+            .collect();
+    }
+    correct
+        .vertices()
+        .iter()
+        .map(|v| {
+            heards
+                .iter()
+                .map(|heard| View::Round {
+                    process: v.process(),
+                    heard: heard.clone(),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

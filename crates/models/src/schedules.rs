@@ -8,9 +8,10 @@
 //!
 //! * [`sync_crash_schedules`] — §7 synchronous crash schedules: per
 //!   round a failure set within the per-round cap and remaining budget,
-//!   and per crasher the recipient subset that still hears it. Mirrors
-//!   the branch structure of `ps-runtime::for_each_sync_execution`
-//!   exactly (same subset enumeration order).
+//!   and per crasher the recipient subset that still hears it. Same
+//!   subset enumeration order as `ps-runtime::for_each_sync_execution`,
+//!   but that walk halts decided processes (§4) and branches only on
+//!   the recipients of undecided crashers (see [`sync_crash_schedules`]).
 //! * [`async_heard_schedules`] — §6 asynchronous round schedules: per
 //!   round, per participant, a heard set containing itself with
 //!   ≥ `n + 1 − f` participants.
@@ -57,11 +58,21 @@ pub type TimedCrashes = BTreeMap<ProcessId, u64>;
 /// processes with at most `k_per_round` crashes per round, `f_total`
 /// overall, over `rounds` rounds.
 ///
-/// The enumeration mirrors `for_each_sync_execution`: per round the
-/// failure set ranges over subsets of the alive set (size-then-lex
-/// order, capped by the remaining budget), and each crasher's final
-/// broadcast reaches an arbitrary subset of that round's survivors.
-/// Returns `None` if the space exceeds `limit` schedules.
+/// Per round the failure set ranges over subsets of the alive set
+/// (size-then-lex order, capped by the remaining budget), and each
+/// crasher's final broadcast reaches an arbitrary subset of that
+/// round's survivors. Returns `None` if the space exceeds `limit`
+/// schedules.
+///
+/// `ps-runtime::for_each_sync_execution` enumerates in the same order
+/// but is not mirrored exactly: it halts decided processes (§4), so it
+/// branches only on the recipients of crashers that have not decided,
+/// while these schedules know no protocol and branch on every
+/// crasher's. They are replayed through `SyncExecutor`, which keeps
+/// decided processes broadcasting. The two walks stay separate because
+/// only `for_each_sync_execution` implements §4 halting, the model the
+/// exhaustive `EarlyFloodSet` proofs (`tests/protocols_exhaustive.rs`)
+/// are stated for.
 pub fn sync_crash_schedules(
     n_plus_1: usize,
     k_per_round: usize,

@@ -19,8 +19,16 @@ use crate::trace::SyncTrace;
 /// Enumerates every execution of `protocol` with the given failure
 /// parameters, calling `visit` once per complete execution.
 ///
-/// Decided processes halt (stop broadcasting), matching §4 and
-/// [`crate::SyncExecutor`]. The number of executions grows as
+/// Decided processes halt as in §4: they stop broadcasting, their state
+/// freezes, and a decided crasher offers no recipient choice.
+/// [`crate::SyncExecutor`] differs: it keeps every live process
+/// broadcasting until all of them have decided, and the schedules it
+/// replays (`ps_models::sync_crash_schedules`) branch on every
+/// crasher's recipients. The two walks stay separate because only this
+/// one implements §4 halting, the model the exhaustive `EarlyFloodSet`
+/// proofs (`tests/protocols_exhaustive.rs`) are stated for.
+///
+/// The number of executions grows as
 /// `Π_rounds Σ_K 2^(|K|·survivors)`; keep `n_plus_1 ≤ 4`, `rounds ≤ 3`.
 ///
 /// # Panics

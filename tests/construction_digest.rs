@@ -17,6 +17,13 @@
 //! order, each as its base and its families. Realizing a union forgets
 //! member order, but the flat prover peels members in that order.
 //!
+//! A third table pins realization: `Pseudosphere::realize` on the
+//! paper's figures, on uniform and on degenerate family sets,
+//! `PseudosphereUnion::realize` on the sync and semi-sync one-round
+//! unions and on a Corollary 8 union, and every Byzantine fixed-`B` round,
+//! built directly and as a realized pseudosphere. Each row digests the
+//! label-sorted facets.
+//!
 //! Regenerate the tables, only when construction's output is meant to
 //! change, with
 //!
@@ -24,7 +31,8 @@
 //! cargo test --release --test construction_digest -- --ignored --nocapture
 //! ```
 //!
-//! and paste the printed rows over `DIGESTS` and `SYMBOLIC_DIGESTS`.
+//! and paste the printed rows over `DIGESTS`, `SYMBOLIC_DIGESTS` and
+//! `REALIZE_DIGESTS`.
 
 use std::collections::BTreeSet;
 
@@ -32,9 +40,14 @@ use pseudosphere::agreement::{
     async_task_parts, byzantine_task_parts, dynamic_task_parts, semisync_task_parts,
     sync_task_parts,
 };
-use pseudosphere::core::{ProcessId, PseudosphereUnion};
-use pseudosphere::models::{input_simplex, AsyncModel, GraphFamily, SsView, SyncModel, View};
-use pseudosphere::topology::{IdComplex, Label, VertexPool};
+use pseudosphere::core::{
+    process_simplex, subsets_up_to_size_lex, ProcessId, Pseudosphere, PseudosphereUnion,
+};
+use pseudosphere::models::{
+    input_simplex, AsyncModel, ByzantineModel, GraphFamily, SemiSyncModel, SsView, SyncModel, View,
+    ViewVector,
+};
+use pseudosphere::topology::{Complex, IdComplex, Label, VertexPool};
 
 /// 64-bit FNV-1a.
 struct Fnv(u64);
@@ -1411,6 +1424,329 @@ fn generate_symbolic_table() {
     for case in symbolic_grid() {
         let (members, digest) = symbolic_digest(&case.union());
         println!("    ({:?}, {members}, {digest:#018x}),", case.name());
+    }
+    println!("];");
+}
+
+impl Encode for ProcessId {
+    fn encode(&self, h: &mut Fnv) {
+        h.u32(self.0);
+    }
+}
+
+impl Encode for u8 {
+    fn encode(&self, h: &mut Fnv) {
+        h.bytes(&[*self]);
+    }
+}
+
+/// A synchronous heard set.
+impl Encode for BTreeSet<ProcessId> {
+    fn encode(&self, h: &mut Fnv) {
+        h.u64(self.len() as u64);
+        for p in self {
+            h.u32(p.0);
+        }
+    }
+}
+
+/// A semi-synchronous view vector.
+impl Encode for ViewVector {
+    fn encode(&self, h: &mut Fnv) {
+        h.u64(self.len() as u64);
+        for (p, mu) in self {
+            h.u32(p.0);
+            h.u32(*mu);
+        }
+    }
+}
+
+impl<A: Encode, B: Encode> Encode for (A, B) {
+    fn encode(&self, h: &mut Fnv) {
+        self.0.encode(h);
+        self.1.encode(h);
+    }
+}
+
+/// Vertex count, facet count and digest of a realized complex: its
+/// facets in label order, each as its labels in order. Realization
+/// resolves ids back to labels and sorts, so this pins the complex but
+/// not the pool order it was built in.
+fn realized_digest<V: Encode + Label>(complex: &Complex<V>) -> (usize, usize, u64) {
+    let mut h = Fnv::new();
+    h.u64(complex.facet_count() as u64);
+    for facet in complex.facets() {
+        h.u64(facet.len() as u64);
+        for label in facet.vertices() {
+            label.encode(&mut h);
+        }
+    }
+    (complex.vertex_count(), complex.facet_count(), h.0)
+}
+
+/// `ψ(P0, …; families)` with one value family per process.
+fn family_pseudosphere(families: &[&[u8]]) -> Pseudosphere<ProcessId, u8> {
+    let base = process_simplex(families.len());
+    let families = base
+        .vertices()
+        .iter()
+        .zip(families)
+        .map(|(p, family)| (*p, family.iter().copied().collect()))
+        .collect();
+    Pseudosphere::new(base, families).expect("one family per process")
+}
+
+/// The inputs `P0 ↦ 0, P1 ↦ 1, …` with values taken modulo `values`.
+fn cyclic_inputs(n_plus_1: usize, values: u64) -> Vec<u64> {
+    (0..n_plus_1 as u64).map(|i| i % values).collect()
+}
+
+/// Every realization row, named, in table order: single pseudospheres,
+/// the one-round unions of the sync and semi-sync models, Corollary 8's
+/// `ψ(S²; {0,1}) ∪ ψ(S²; {0,2})`, and each Byzantine fixed-`B` round
+/// as a complex (`cx`) and as a realized pseudosphere (`psi`).
+fn realize_rows() -> Vec<(String, (usize, usize, u64))> {
+    let mut rows = Vec::new();
+    for (name, families) in [
+        ("figure 1", &[&[0u8, 1][..], &[0, 1], &[0, 1]][..]),
+        ("figure 2a", &[&[0, 1], &[0, 1]]),
+        ("figure 2b", &[&[0, 1, 2], &[0, 1, 2]]),
+        (
+            "families empty and singleton",
+            &[&[0, 1], &[], &[5], &[0, 1, 2]],
+        ),
+    ] {
+        let realized = family_pseudosphere(families).realize();
+        rows.push((format!("psi {name}"), realized_digest(&realized)));
+    }
+    for procs in 1..=4 {
+        for m in 0..=2u8 {
+            let ps = Pseudosphere::uniform(process_simplex(procs), (0..=m).collect());
+            rows.push((
+                format!("psi uniform n={} m={m}", procs - 1),
+                realized_digest(&ps.realize()),
+            ));
+        }
+    }
+    for n_plus_1 in 1..=4 {
+        let input = input_simplex(&cyclic_inputs(n_plus_1, n_plus_1 as u64));
+        for k in 0..=2 {
+            let union = SyncModel::new(n_plus_1, k, k).one_round_union(&input);
+            rows.push((
+                format!("sync union n+1={n_plus_1} k={k}"),
+                realized_digest(&union.realize()),
+            ));
+        }
+    }
+    let input = input_simplex(&[0u64, 1, 2]);
+    for k in 0..=2 {
+        for p in 1..=3 {
+            let union = SemiSyncModel::new(3, k, k, p).one_round_union(&input);
+            rows.push((
+                format!("semisync union n+1=3 k={k} p={p}"),
+                realized_digest(&union.realize()),
+            ));
+        }
+    }
+    let corollary8: PseudosphereUnion<ProcessId, u8> = [&[0u8, 1], &[0, 2]]
+        .into_iter()
+        .map(|family| Pseudosphere::uniform(process_simplex(3), family.iter().copied().collect()))
+        .collect();
+    rows.push((
+        "corollary 8 union".into(),
+        realized_digest(&corollary8.realize()),
+    ));
+    for n_plus_1 in 1..=4 {
+        let model = ByzantineModel::new(n_plus_1, 2);
+        let processes: BTreeSet<ProcessId> = (0..n_plus_1 as u32).map(ProcessId).collect();
+        for values in 2..=3 {
+            let input = input_simplex(&cyclic_inputs(n_plus_1, values));
+            for byz in subsets_up_to_size_lex(&processes, 2) {
+                let faulty: Vec<u32> = byz.iter().map(|p| p.0).collect();
+                let name = format!("byz n+1={n_plus_1} V={values} B={faulty:?}");
+                rows.push((
+                    format!("{name} cx"),
+                    realized_digest(&model.one_round_fault_complex(&input, &byz)),
+                ));
+                rows.push((
+                    format!("{name} psi"),
+                    realized_digest(&model.one_round_fault_pseudosphere(&input, &byz).realize()),
+                ));
+            }
+        }
+    }
+    rows
+}
+
+/// `(name, vertices, facets, digest)` per realization row, recorded by
+/// `generate_realize_table`.
+const REALIZE_DIGESTS: &[(&str, usize, usize, u64)] = &[
+    ("psi figure 1", 6, 8, 0xef3e65905552afc1),
+    ("psi figure 2a", 4, 4, 0x9ef111c2c3e1df55),
+    ("psi figure 2b", 6, 9, 0x235d025aa1b57353),
+    ("psi families empty and singleton", 6, 6, 0xa6392b95da18ae56),
+    ("psi uniform n=0 m=0", 1, 1, 0x9f27f97184a8aeaf),
+    ("psi uniform n=0 m=1", 2, 2, 0xb1ee78f6b083dc46),
+    ("psi uniform n=0 m=2", 3, 3, 0x769f01bc58a305c4),
+    ("psi uniform n=1 m=0", 2, 1, 0xa3be702ef144f379),
+    ("psi uniform n=1 m=1", 4, 4, 0x9ef111c2c3e1df55),
+    ("psi uniform n=1 m=2", 6, 9, 0x235d025aa1b57353),
+    ("psi uniform n=2 m=0", 3, 1, 0xf9ee29483553e39a),
+    ("psi uniform n=2 m=1", 6, 8, 0xef3e65905552afc1),
+    ("psi uniform n=2 m=2", 9, 27, 0x5aafddc1bcd91dd9),
+    ("psi uniform n=3 m=0", 4, 1, 0xaca753a868150e20),
+    ("psi uniform n=3 m=1", 8, 16, 0xdaca6cb39920113d),
+    ("psi uniform n=3 m=2", 12, 81, 0xf649fcd1e5e47e48),
+    ("sync union n+1=1 k=0", 1, 1, 0x388d832d0d3066d4),
+    ("sync union n+1=1 k=1", 1, 1, 0x388d832d0d3066d4),
+    ("sync union n+1=1 k=2", 1, 1, 0x388d832d0d3066d4),
+    ("sync union n+1=2 k=0", 2, 1, 0xd65e42507e7450a7),
+    ("sync union n+1=2 k=1", 4, 3, 0x54c5a9f656a20a35),
+    ("sync union n+1=2 k=2", 4, 3, 0x54c5a9f656a20a35),
+    ("sync union n+1=3 k=0", 3, 1, 0x29ea32ccf52ddf14),
+    ("sync union n+1=3 k=1", 9, 10, 0x0f69dbb5cf51b65d),
+    ("sync union n+1=3 k=2", 12, 13, 0x4fcff7bad2675a1a),
+    ("sync union n+1=4 k=0", 4, 1, 0xb89b60ea56a27220),
+    ("sync union n+1=4 k=1", 16, 29, 0x6fd8bf610d0bd8fc),
+    ("sync union n+1=4 k=2", 28, 83, 0xfd893e6532589ab2),
+    ("semisync union n+1=3 k=0 p=1", 3, 1, 0xed72c006eeea3715),
+    ("semisync union n+1=3 k=0 p=2", 3, 1, 0x7ddca0d08691e056),
+    ("semisync union n+1=3 k=0 p=3", 3, 1, 0xcc8420027ad38757),
+    ("semisync union n+1=3 k=1 p=1", 9, 10, 0xa68993da6055efac),
+    ("semisync union n+1=3 k=1 p=2", 15, 19, 0x176aa381b7734724),
+    ("semisync union n+1=3 k=1 p=3", 21, 28, 0x0ce4ccbbc8da42e8),
+    ("semisync union n+1=3 k=2 p=1", 12, 13, 0x32ec34dd8b3eb128),
+    ("semisync union n+1=3 k=2 p=2", 27, 31, 0x5c64e4637030d318),
+    ("semisync union n+1=3 k=2 p=3", 48, 55, 0x955b008d23ce80d2),
+    ("corollary 8 union", 9, 15, 0xb10a6bb56604aca6),
+    ("byz n+1=1 V=2 B=[] cx", 1, 1, 0x0b7b028713142577),
+    ("byz n+1=1 V=2 B=[] psi", 1, 1, 0xaab781dad00f93c7),
+    ("byz n+1=1 V=2 B=[0] cx", 0, 0, 0xa8c7f832281a39c5),
+    ("byz n+1=1 V=2 B=[0] psi", 0, 0, 0xa8c7f832281a39c5),
+    ("byz n+1=1 V=3 B=[] cx", 1, 1, 0x0b7b028713142577),
+    ("byz n+1=1 V=3 B=[] psi", 1, 1, 0xaab781dad00f93c7),
+    ("byz n+1=1 V=3 B=[0] cx", 0, 0, 0xa8c7f832281a39c5),
+    ("byz n+1=1 V=3 B=[0] psi", 0, 0, 0xa8c7f832281a39c5),
+    ("byz n+1=2 V=2 B=[] cx", 2, 1, 0x829fe5e931241d97),
+    ("byz n+1=2 V=2 B=[] psi", 2, 1, 0x6d29ed6c6f6e04bc),
+    ("byz n+1=2 V=2 B=[0] cx", 3, 3, 0xa3ab3bed3ec59a9e),
+    ("byz n+1=2 V=2 B=[0] psi", 3, 3, 0xd1b6d374e1124b65),
+    ("byz n+1=2 V=2 B=[1] cx", 3, 3, 0x5468063ec8fbc514),
+    ("byz n+1=2 V=2 B=[1] psi", 3, 3, 0x3f2b3aeadf9efe24),
+    ("byz n+1=2 V=2 B=[0, 1] cx", 0, 0, 0xa8c7f832281a39c5),
+    ("byz n+1=2 V=2 B=[0, 1] psi", 0, 0, 0xa8c7f832281a39c5),
+    ("byz n+1=2 V=3 B=[] cx", 2, 1, 0x829fe5e931241d97),
+    ("byz n+1=2 V=3 B=[] psi", 2, 1, 0x6d29ed6c6f6e04bc),
+    ("byz n+1=2 V=3 B=[0] cx", 3, 3, 0xa3ab3bed3ec59a9e),
+    ("byz n+1=2 V=3 B=[0] psi", 3, 3, 0xd1b6d374e1124b65),
+    ("byz n+1=2 V=3 B=[1] cx", 3, 3, 0x5468063ec8fbc514),
+    ("byz n+1=2 V=3 B=[1] psi", 3, 3, 0x3f2b3aeadf9efe24),
+    ("byz n+1=2 V=3 B=[0, 1] cx", 0, 0, 0xa8c7f832281a39c5),
+    ("byz n+1=2 V=3 B=[0, 1] psi", 0, 0, 0xa8c7f832281a39c5),
+    ("byz n+1=3 V=2 B=[] cx", 3, 1, 0x75fb805babd73747),
+    ("byz n+1=3 V=2 B=[] psi", 3, 1, 0x5e13b8fb577b4110),
+    ("byz n+1=3 V=2 B=[0] cx", 6, 9, 0x4603611d56217943),
+    ("byz n+1=3 V=2 B=[0] psi", 6, 9, 0x72571619d2517520),
+    ("byz n+1=3 V=2 B=[1] cx", 6, 9, 0x6d300ded90132f36),
+    ("byz n+1=3 V=2 B=[1] psi", 6, 9, 0xf499f531b44f8298),
+    ("byz n+1=3 V=2 B=[2] cx", 6, 9, 0xb4358a8e23ce2e2b),
+    ("byz n+1=3 V=2 B=[2] psi", 6, 9, 0x931381a624dbe8ec),
+    ("byz n+1=3 V=2 B=[0, 1] cx", 9, 9, 0xf7a2507cd3c7edeb),
+    ("byz n+1=3 V=2 B=[0, 1] psi", 9, 9, 0x519cc77ea98704ed),
+    ("byz n+1=3 V=2 B=[0, 2] cx", 9, 9, 0xd9463532b49139d7),
+    ("byz n+1=3 V=2 B=[0, 2] psi", 9, 9, 0xfc2ca520dadc7d06),
+    ("byz n+1=3 V=2 B=[1, 2] cx", 9, 9, 0xac7e282de1971fd5),
+    ("byz n+1=3 V=2 B=[1, 2] psi", 9, 9, 0x87281d8fc0faf8e5),
+    ("byz n+1=3 V=3 B=[] cx", 3, 1, 0x33a5e91460a9404d),
+    ("byz n+1=3 V=3 B=[] psi", 3, 1, 0xe9ac2a05c63598ea),
+    ("byz n+1=3 V=3 B=[0] cx", 8, 16, 0x66d08b4cba5ddf3d),
+    ("byz n+1=3 V=3 B=[0] psi", 8, 16, 0xe4fc2bb045ad8be9),
+    ("byz n+1=3 V=3 B=[1] cx", 8, 16, 0xa2239a861f5c55d5),
+    ("byz n+1=3 V=3 B=[1] psi", 8, 16, 0x720c16d5c4cf9d41),
+    ("byz n+1=3 V=3 B=[2] cx", 8, 16, 0xac8ca5c3f5a2b3d5),
+    ("byz n+1=3 V=3 B=[2] psi", 8, 16, 0xecac6777f2ad267d),
+    ("byz n+1=3 V=3 B=[0, 1] cx", 16, 16, 0xd6815c7a72b0fe8d),
+    ("byz n+1=3 V=3 B=[0, 1] psi", 16, 16, 0xfedc8917430bed51),
+    ("byz n+1=3 V=3 B=[0, 2] cx", 16, 16, 0xe751a8ef2399e661),
+    ("byz n+1=3 V=3 B=[0, 2] psi", 16, 16, 0xfd8e83e5aa194e29),
+    ("byz n+1=3 V=3 B=[1, 2] cx", 16, 16, 0x64a6983e881e4023),
+    ("byz n+1=3 V=3 B=[1, 2] psi", 16, 16, 0x476c3d1ded859ac3),
+    ("byz n+1=4 V=2 B=[] cx", 4, 1, 0x590017764f31cfa8),
+    ("byz n+1=4 V=2 B=[] psi", 4, 1, 0x8e9eb58e15171450),
+    ("byz n+1=4 V=2 B=[0] cx", 9, 27, 0x428fa46aa358f56c),
+    ("byz n+1=4 V=2 B=[0] psi", 9, 27, 0x992a76068a969fa4),
+    ("byz n+1=4 V=2 B=[1] cx", 9, 27, 0x0f32abd9c0a7d092),
+    ("byz n+1=4 V=2 B=[1] psi", 9, 27, 0xdcff551e107652c5),
+    ("byz n+1=4 V=2 B=[2] cx", 9, 27, 0x096021ff457d21c0),
+    ("byz n+1=4 V=2 B=[2] psi", 9, 27, 0x9987b45c1afc3412),
+    ("byz n+1=4 V=2 B=[3] cx", 9, 27, 0xfae866968f471412),
+    ("byz n+1=4 V=2 B=[3] psi", 9, 27, 0x9fd25a64bb52a2bb),
+    ("byz n+1=4 V=2 B=[0, 1] cx", 18, 81, 0x9a608c188a22b887),
+    ("byz n+1=4 V=2 B=[0, 1] psi", 18, 81, 0x0fc2018257709ffc),
+    ("byz n+1=4 V=2 B=[0, 2] cx", 18, 81, 0x8238664a0a36512c),
+    ("byz n+1=4 V=2 B=[0, 2] psi", 18, 81, 0xc812ca4eadba3f24),
+    ("byz n+1=4 V=2 B=[0, 3] cx", 18, 81, 0x9f4169381c526b27),
+    ("byz n+1=4 V=2 B=[0, 3] psi", 18, 81, 0xb95bf8fa1b4ce998),
+    ("byz n+1=4 V=2 B=[1, 2] cx", 18, 81, 0xcf21279e49531779),
+    ("byz n+1=4 V=2 B=[1, 2] psi", 18, 81, 0xbc15bf4df41c33a4),
+    ("byz n+1=4 V=2 B=[1, 3] cx", 18, 81, 0x60dadec86dcaf7ee),
+    ("byz n+1=4 V=2 B=[1, 3] psi", 18, 81, 0xe3af520371a81b5c),
+    ("byz n+1=4 V=2 B=[2, 3] cx", 18, 81, 0x2422f76a77eb6cff),
+    ("byz n+1=4 V=2 B=[2, 3] psi", 18, 81, 0xa3b582eae8108770),
+    ("byz n+1=4 V=3 B=[] cx", 4, 1, 0x308940b2d42bb998),
+    ("byz n+1=4 V=3 B=[] psi", 4, 1, 0xdce84530027101c0),
+    ("byz n+1=4 V=3 B=[0] cx", 12, 64, 0x899f161fb946611d),
+    ("byz n+1=4 V=3 B=[0] psi", 12, 64, 0x91b49c004989c555),
+    ("byz n+1=4 V=3 B=[1] cx", 12, 64, 0xd29ce4d4ea61ae55),
+    ("byz n+1=4 V=3 B=[1] psi", 12, 64, 0xb95454c14b2c1e75),
+    ("byz n+1=4 V=3 B=[2] cx", 12, 64, 0x5a80c4ceb3031cdd),
+    ("byz n+1=4 V=3 B=[2] psi", 12, 64, 0xfd442ec3130d0285),
+    ("byz n+1=4 V=3 B=[3] cx", 12, 64, 0xb5691478d22b0ced),
+    ("byz n+1=4 V=3 B=[3] psi", 12, 64, 0xad53ef6ee00af30d),
+    ("byz n+1=4 V=3 B=[0, 1] cx", 32, 256, 0xeb7346216a79a5d6),
+    ("byz n+1=4 V=3 B=[0, 1] psi", 32, 256, 0x15299ef69b3b0416),
+    ("byz n+1=4 V=3 B=[0, 2] cx", 32, 256, 0xbc6bbd3ac13a7566),
+    ("byz n+1=4 V=3 B=[0, 2] psi", 32, 256, 0x99cdec8734234616),
+    ("byz n+1=4 V=3 B=[0, 3] cx", 32, 256, 0xa2b61a7819cb2b86),
+    ("byz n+1=4 V=3 B=[0, 3] psi", 32, 256, 0x1ff58d82ea6282c6),
+    ("byz n+1=4 V=3 B=[1, 2] cx", 32, 256, 0x0f2a199a72a52e6e),
+    ("byz n+1=4 V=3 B=[1, 2] psi", 32, 256, 0x68fd73ce6bf15546),
+    ("byz n+1=4 V=3 B=[1, 3] cx", 32, 256, 0x00bb6d9ea8084dae),
+    ("byz n+1=4 V=3 B=[1, 3] psi", 32, 256, 0x3ff71d54b1840286),
+    ("byz n+1=4 V=3 B=[2, 3] cx", 32, 256, 0x3408317548d601ae),
+    ("byz n+1=4 V=3 B=[2, 3] psi", 32, 256, 0xff6db56da3eb782a),
+];
+
+#[test]
+fn realize_digests() {
+    let rows = realize_rows();
+    let recorded: Vec<&str> = REALIZE_DIGESTS.iter().map(|row| row.0).collect();
+    let names: Vec<&str> = rows.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        recorded, names,
+        "REALIZE_DIGESTS rows must follow the row order"
+    );
+    let failures: Vec<String> = rows
+        .iter()
+        .zip(REALIZE_DIGESTS)
+        .filter(|((_, built), row)| *built != (row.1, row.2, row.3))
+        .map(|((name, built), row)| {
+            format!(
+                "{name}: built {built:?}, recorded {:?}",
+                (row.1, row.2, row.3)
+            )
+        })
+        .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// Prints the `REALIZE_DIGESTS` table for the current code.
+#[test]
+#[ignore = "generator: prints the REALIZE_DIGESTS table (run with --nocapture)"]
+fn generate_realize_table() {
+    println!("const REALIZE_DIGESTS: &[(&str, usize, usize, u64)] = &[");
+    for (name, (vertices, facets, digest)) in realize_rows() {
+        println!("    ({name:?}, {vertices}, {facets}, {digest:#018x}),");
     }
     println!("];");
 }
