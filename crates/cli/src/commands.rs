@@ -19,7 +19,7 @@ use ps_protocols::{
 use ps_runtime::{
     traffic_run, traffic_run_protocol, AsyncPolicy, MultiObserver, RandomAdversary,
     RandomTimedAdversary, SemisyncPolicy, SyncExecutor, SyncPolicy, TimedParams, TimedProtocol,
-    TimingPolicy, TrafficReport,
+    TimingPolicy, TrafficReport, MAX_PROCESSES,
 };
 use ps_topology::export::{ascii_summary, to_dot, to_off, to_text};
 use ps_topology::{indistinguishability_chain, Complex, ConnectivityAnalyzer, Label};
@@ -1306,6 +1306,11 @@ fn traffic(args: &Args) -> Result<(), ArgError> {
     let n = args.usize_opt("n", 100)?;
     if n < 2 {
         return Err(ArgError("--n must be at least 2".into()));
+    }
+    if n > MAX_PROCESSES {
+        return Err(ArgError(format!(
+            "--n must be at most {MAX_PROCESSES} (the scheduler's process bound), got {n}"
+        )));
     }
     let messages = args.u64_opt("messages", 1_000_000)?;
     let seed = args.u64_opt("seed", 0)?;

@@ -265,6 +265,9 @@ const PROCS_BOUND: &str = "the process count must be in 1..=20, got";
 /// The `--c1/--c2/--d` check `stretch` and `traffic` share.
 const TIMING: &str = "timing needs 0 < c1 ≤ c2 and d > 0, got";
 
+/// `traffic`'s process bound (ps-runtime's `MAX_PROCESSES`).
+const TRAFFIC_N: &str = "--n must be at most 4096 (the scheduler's process bound), got";
+
 #[test]
 fn out_of_range_sizes_rejected() {
     const ALL: &[&str] = &["solve", "sweep", "conform", "homology", "complex"];
@@ -272,7 +275,7 @@ fn out_of_range_sizes_rejected() {
     let f_bound = |f| format!("the crash budget f must be at most n = 2 for 3 processes, got {f}");
     let t_bound =
         |t| format!("the Byzantine budget t must be at most n = 2 for 3 processes, got {t}");
-    let table: [(&[&str], &[&str], String); 18] = [
+    let table: [(&[&str], &[&str], String); 20] = [
         // 9 processes have 72 ordered pairs, more than the 64-bit edge
         // mask holds; the shifts used to wrap and answer on the wrong
         // complex
@@ -352,6 +355,19 @@ fn out_of_range_sizes_rejected() {
             &["stretch", "traffic"],
             &["--c1", "1", "--c2", "2", "--d", "0"],
             format!("{TIMING} c1 = 1, c2 = 2, d = 0"),
+        ),
+        // the scheduler's two n × n channel tables used to abort the
+        // process on allocation (80 GB at n = 100000), and 2^32 processes
+        // would have wrapped their u32 ids
+        (
+            &["traffic"],
+            &["--n", "100000", "--messages", "10", "--policy", "sync"],
+            format!("{TRAFFIC_N} 100000"),
+        ),
+        (
+            &["traffic"],
+            &["--n", "4294967296", "--messages", "10"],
+            format!("{TRAFFIC_N} 4294967296"),
         ),
     ];
     for (cmds, args, expected) in &table {

@@ -19,6 +19,7 @@
 //! three models' verdicts.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use ps_core::ProcessId;
 use ps_runtime::{RoundProtocol, TimedParams, TimedProtocol};
@@ -111,6 +112,10 @@ pub struct TimedKSetFloodState {
 /// `p`-step round, decide the minimum once the round budget has
 /// elapsed. Its decision time under the stretch adversary is what
 /// `ps-agreement`'s Corollary 22 experiment measures.
+///
+/// A broadcast is one shared set (`Arc<BTreeSet<u64>>`): the scheduler
+/// clones a message once per recipient, which copies the pointer, not
+/// the set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimedKSetFlood {
     /// Rounds before deciding.
@@ -141,7 +146,7 @@ impl TimedKSetFlood {
 impl TimedProtocol for TimedKSetFlood {
     type Input = u64;
     type State = TimedKSetFloodState;
-    type Msg = BTreeSet<u64>;
+    type Msg = Arc<BTreeSet<u64>>;
     type Output = u64;
 
     fn init(
@@ -162,13 +167,15 @@ impl TimedProtocol for TimedKSetFlood {
         mut state: TimedKSetFloodState,
         _now: u64,
         step: u64,
-        inbox: &[(ProcessId, BTreeSet<u64>)],
-    ) -> (TimedKSetFloodState, Option<BTreeSet<u64>>, Option<u64>) {
+        inbox: &[(ProcessId, Arc<BTreeSet<u64>>)],
+    ) -> (TimedKSetFloodState, Option<Arc<BTreeSet<u64>>>, Option<u64>) {
         for (_, vals) in inbox {
             state.known.extend(vals.iter().copied());
         }
         let p = state.steps_per_round;
-        let broadcast = step.is_multiple_of(p).then(|| state.known.clone());
+        let broadcast = step
+            .is_multiple_of(p)
+            .then(|| Arc::new(state.known.clone()));
         let decide =
             (step + 1 >= self.rounds * p).then(|| *state.known.first().expect("own input known"));
         (state, broadcast, decide)

@@ -30,27 +30,89 @@ type Channel = (ProcessId, ProcessId);
 /// A vector clock: process index ↦ event count.
 pub type VClock = BTreeMap<ProcessId, u64>;
 
-fn join_into(into: &mut VClock, other: &VClock) {
-    for (p, c) in other {
-        let e = into.entry(*p).or_insert(0);
-        *e = (*e).max(*c);
+/// Per-channel state indexed by `(src, dst)`. The observers learn the
+/// process count from the events they see, so each row grows to the
+/// highest receiver index sent to from its sender.
+#[derive(Clone, Debug, Default)]
+struct ChannelTable<T> {
+    rows: Vec<Vec<T>>,
+}
+
+impl<T: Default> ChannelTable<T> {
+    /// The state of `src → dst`, created on first use.
+    fn entry(&mut self, src: ProcessId, dst: ProcessId) -> &mut T {
+        let (s, d) = (src.index(), dst.index());
+        if s >= self.rows.len() {
+            self.rows.resize_with(s + 1, Vec::new);
+        }
+        let row = &mut self.rows[s];
+        if d >= row.len() {
+            row.resize_with(d + 1, T::default);
+        }
+        &mut row[d]
+    }
+
+    /// The state of `src → dst`, if the table has grown to it.
+    fn get_mut(&mut self, src: ProcessId, dst: ProcessId) -> Option<&mut T> {
+        self.rows.get_mut(src.index())?.get_mut(dst.index())
+    }
+
+    /// Every created channel's state, in `(src, dst)` order.
+    fn iter_mut(&mut self) -> impl Iterator<Item = (Channel, &mut T)> {
+        self.rows.iter_mut().enumerate().flat_map(|(s, row)| {
+            row.iter_mut()
+                .enumerate()
+                .map(move |(d, t)| ((ProcessId(s as u32), ProcessId(d as u32)), t))
+        })
     }
 }
 
-fn dominates(big: &VClock, small: &VClock) -> bool {
+/// Joins dense clock `other` into `into`, componentwise maximum.
+fn join_into(into: &mut Vec<u64>, other: &[u64]) {
+    if into.len() < other.len() {
+        into.resize(other.len(), 0);
+    }
+    for (mine, theirs) in into.iter_mut().zip(other) {
+        *mine = (*mine).max(*theirs);
+    }
+}
+
+fn dominates(big: &[u64], small: &[u64]) -> bool {
     small
         .iter()
-        .all(|(p, c)| big.get(p).copied().unwrap_or(0) >= *c)
+        .enumerate()
+        .all(|(i, c)| big.get(i).copied().unwrap_or(0) >= *c)
+}
+
+/// Increments component `p` of `clocks[p]`, growing both as needed.
+fn tick(clocks: &mut Vec<Vec<u64>>, p: ProcessId) -> &mut Vec<u64> {
+    let i = p.index();
+    if i >= clocks.len() {
+        clocks.resize_with(i + 1, Vec::new);
+    }
+    let clock = &mut clocks[i];
+    if i >= clock.len() {
+        clock.resize(i + 1, 0);
+    }
+    clock[i] += 1;
+    clock
+}
+
+/// A vector-clock channel: the stamps of its messages in flight, in
+/// send order, and the stamp of its last send (empty before the first).
+#[derive(Clone, Debug, Default)]
+struct StampQueue {
+    in_flight: VecDeque<Box<[u64]>>,
+    last_sent: Vec<u64>,
 }
 
 /// Vector-clock instrumentation for scheduler runs.
 #[derive(Clone, Debug, Default)]
 pub struct VectorClockObserver {
-    clocks: BTreeMap<ProcessId, VClock>,
-    /// Per-channel FIFO queue of in-flight message stamps.
-    in_flight: BTreeMap<Channel, VecDeque<VClock>>,
-    /// Per-channel stamp of the last send (for FIFO monotonicity).
-    last_sent: BTreeMap<Channel, VClock>,
+    /// Per-process dense clocks, indexed by process: component `i` of a
+    /// clock is process `i`'s count, and components past its end are 0.
+    clocks: Vec<Vec<u64>>,
+    channels: ChannelTable<StampQueue>,
     /// Causality violations detected online (empty ⇔ consistent).
     errors: Vec<String>,
     deliveries: u64,
@@ -62,9 +124,19 @@ impl VectorClockObserver {
         Self::default()
     }
 
-    /// The current clock of `p`.
+    /// The current clock of `p`: its nonzero components.
     pub fn clock(&self, p: ProcessId) -> VClock {
-        self.clocks.get(&p).cloned().unwrap_or_default()
+        self.clocks
+            .get(p.index())
+            .map(|clock| {
+                clock
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| **c > 0)
+                    .map(|(q, c)| (ProcessId(q as u32), *c))
+                    .collect()
+            })
+            .unwrap_or_default()
     }
 
     /// Detected causality violations (empty for a correct scheduler).
@@ -81,47 +153,39 @@ impl VectorClockObserver {
     pub fn consistent(&self) -> bool {
         self.errors.is_empty()
     }
-
-    fn tick(&mut self, p: ProcessId) -> &mut VClock {
-        let clock = self.clocks.entry(p).or_default();
-        *clock.entry(p).or_insert(0) += 1;
-        clock
-    }
 }
 
 impl SchedObserver for VectorClockObserver {
     fn on_send(&mut self, src: ProcessId, dst: ProcessId, _sent: u64, _arrival: u64) {
-        let stamp = self.tick(src).clone();
-        if let Some(prev) = self.last_sent.get(&(src, dst)) {
-            if !dominates(&stamp, prev) {
-                self.errors
-                    .push(format!("non-monotone send stamps on {src:?}->{dst:?}"));
-            }
+        let stamp: Box<[u64]> = tick(&mut self.clocks, src).as_slice().into();
+        let channel = self.channels.entry(src, dst);
+        if !dominates(&stamp, &channel.last_sent) {
+            self.errors
+                .push(format!("non-monotone send stamps on {src:?}->{dst:?}"));
         }
-        self.last_sent.insert((src, dst), stamp.clone());
-        self.in_flight
-            .entry((src, dst))
-            .or_default()
-            .push_back(stamp);
+        channel.last_sent.clear();
+        channel.last_sent.extend_from_slice(&stamp);
+        channel.in_flight.push_back(stamp);
     }
 
     fn on_deliver(&mut self, src: ProcessId, dst: ProcessId, time: u64) {
         self.deliveries += 1;
         let Some(stamp) = self
-            .in_flight
-            .get_mut(&(src, dst))
-            .and_then(|q| q.pop_front())
+            .channels
+            .get_mut(src, dst)
+            .and_then(|c| c.in_flight.pop_front())
         else {
             self.errors.push(format!(
                 "delivery without send on {src:?}->{dst:?} at t={time}"
             ));
             return;
         };
-        let clock = self.clocks.entry(dst).or_default();
-        join_into(clock, &stamp);
-        *clock.entry(dst).or_insert(0) += 1;
-        let clock = self.clocks[&dst].clone();
-        if !dominates(&clock, &stamp) {
+        if dst.index() >= self.clocks.len() {
+            self.clocks.resize_with(dst.index() + 1, Vec::new);
+        }
+        join_into(&mut self.clocks[dst.index()], &stamp);
+        let clock = tick(&mut self.clocks, dst);
+        if !dominates(clock, &stamp) {
             self.errors.push(format!(
                 "delivery stamp not dominated after merge on {src:?}->{dst:?} at t={time}"
             ));
@@ -130,9 +194,9 @@ impl SchedObserver for VectorClockObserver {
 
     fn on_drop(&mut self, src: ProcessId, dst: ProcessId, time: u64) {
         if self
-            .in_flight
-            .get_mut(&(src, dst))
-            .and_then(|q| q.pop_front())
+            .channels
+            .get_mut(src, dst)
+            .and_then(|c| c.in_flight.pop_front())
             .is_none()
         {
             self.errors
@@ -141,11 +205,11 @@ impl SchedObserver for VectorClockObserver {
     }
 
     fn on_step(&mut self, p: ProcessId, _time: u64, _step: u64) {
-        self.tick(p);
+        tick(&mut self.clocks, p);
     }
 
     fn on_decide(&mut self, p: ProcessId, _time: u64) {
-        self.tick(p);
+        tick(&mut self.clocks, p);
     }
 }
 
@@ -170,6 +234,16 @@ impl ChannelCut {
     }
 }
 
+/// A snapshot channel: its messages not yet delivered or dropped, as
+/// `(send time, scheduled arrival)` in send order, and its accounting.
+/// The accounting opens with the first send before the cut or the first
+/// settled message, and only open channels are reported.
+#[derive(Clone, Debug, Default)]
+struct CutQueue {
+    queue: VecDeque<(u64, u64)>,
+    cut: Option<ChannelCut>,
+}
+
 /// Chandy–Lamport-style consistent-cut observer: snapshots channel
 /// state at trigger time `cut` and checks per-channel message
 /// conservation.
@@ -181,9 +255,8 @@ impl ChannelCut {
 #[derive(Clone, Debug)]
 pub struct ChandyLamportObserver {
     cut: u64,
-    /// Per-channel queue of (send-time, scheduled-arrival) not yet
-    /// delivered or dropped.
-    queues: BTreeMap<Channel, VecDeque<(u64, u64)>>,
+    channels: ChannelTable<CutQueue>,
+    /// The open channels' accounting, collected by `finalize`.
     cuts: BTreeMap<Channel, ChannelCut>,
     errors: Vec<String>,
     finalized: bool,
@@ -194,7 +267,7 @@ impl ChandyLamportObserver {
     pub fn new(cut: u64) -> Self {
         ChandyLamportObserver {
             cut,
-            queues: BTreeMap::new(),
+            channels: ChannelTable::default(),
             cuts: BTreeMap::new(),
             errors: Vec::new(),
             finalized: false,
@@ -206,7 +279,8 @@ impl ChandyLamportObserver {
         self.cut
     }
 
-    /// Per-channel accounting (call [`Self::finalize`] first).
+    /// Per-channel accounting, collected by [`Self::finalize`] (empty
+    /// before it).
     pub fn cuts(&self) -> &BTreeMap<Channel, ChannelCut> {
         &self.cuts
     }
@@ -223,53 +297,63 @@ impl ChandyLamportObserver {
     pub fn finalize(&mut self) -> bool {
         if !self.finalized {
             self.finalized = true;
-            for (ch, q) in &mut self.queues {
-                for (sent, _) in q.drain(..) {
-                    if sent < self.cut {
-                        self.cuts.entry(*ch).or_default().in_flight += 1;
+            let cut = self.cut;
+            for (ch, c) in self.channels.iter_mut() {
+                for (sent, _) in c.queue.drain(..) {
+                    if sent < cut {
+                        c.cut.get_or_insert_with(ChannelCut::default).in_flight += 1;
                     }
+                }
+                if let Some(tally) = &c.cut {
+                    self.cuts.insert(ch, tally.clone());
                 }
             }
         }
         self.errors.is_empty() && self.cuts.values().all(ChannelCut::conserved)
     }
 
-    fn settle(&mut self, src: ProcessId, dst: ProcessId, time: u64, what: &str) -> Option<u64> {
-        match self.queues.get_mut(&(src, dst)).and_then(|q| q.pop_front()) {
-            Some((sent, arrival)) => {
-                if what == "delivery" && time != arrival {
-                    self.errors.push(format!(
-                        "{what} on {src:?}->{dst:?} at t={time} but scheduled arrival was {arrival}"
-                    ));
-                }
-                Some(sent)
-            }
-            None => {
-                self.errors.push(format!(
-                    "{what} without send on {src:?}->{dst:?} at t={time}"
-                ));
-                None
-            }
+    /// Settles the oldest message on `src → dst` at `time`, returning
+    /// its send time and its channel's (opened) accounting.
+    fn settle(
+        &mut self,
+        src: ProcessId,
+        dst: ProcessId,
+        time: u64,
+        what: &str,
+    ) -> Option<(u64, &mut ChannelCut)> {
+        let Some(((sent, arrival), c)) = self
+            .channels
+            .get_mut(src, dst)
+            .and_then(|c| c.queue.pop_front().map(|m| (m, c)))
+        else {
+            self.errors.push(format!(
+                "{what} without send on {src:?}->{dst:?} at t={time}"
+            ));
+            return None;
+        };
+        if what == "delivery" && time != arrival {
+            self.errors.push(format!(
+                "{what} on {src:?}->{dst:?} at t={time} but scheduled arrival was {arrival}"
+            ));
         }
+        Some((sent, c.cut.get_or_insert_with(ChannelCut::default)))
     }
 }
 
 impl SchedObserver for ChandyLamportObserver {
     fn on_send(&mut self, src: ProcessId, dst: ProcessId, sent: u64, arrival: u64) {
+        let c = self.channels.entry(src, dst);
         if sent < self.cut {
-            self.cuts.entry((src, dst)).or_default().sent_before += 1;
+            c.cut.get_or_insert_with(ChannelCut::default).sent_before += 1;
         }
-        self.queues
-            .entry((src, dst))
-            .or_default()
-            .push_back((sent, arrival));
+        c.queue.push_back((sent, arrival));
     }
 
     fn on_deliver(&mut self, src: ProcessId, dst: ProcessId, time: u64) {
-        if let Some(sent) = self.settle(src, dst, time, "delivery") {
-            let cut = self.cuts.entry((src, dst)).or_default();
-            if sent < self.cut {
-                if time < self.cut {
+        let cut_time = self.cut;
+        if let Some((sent, cut)) = self.settle(src, dst, time, "delivery") {
+            if sent < cut_time {
+                if time < cut_time {
                     cut.delivered_before += 1;
                 } else {
                     // crossed the cut: part of the recorded channel state
@@ -280,10 +364,10 @@ impl SchedObserver for ChandyLamportObserver {
     }
 
     fn on_drop(&mut self, src: ProcessId, dst: ProcessId, time: u64) {
-        if let Some(sent) = self.settle(src, dst, time, "drop") {
-            let cut = self.cuts.entry((src, dst)).or_default();
-            if sent < self.cut {
-                if time < self.cut {
+        let cut_time = self.cut;
+        if let Some((sent, cut)) = self.settle(src, dst, time, "drop") {
+            if sent < cut_time {
+                if time < cut_time {
                     cut.dropped_before += 1;
                 } else {
                     cut.in_flight += 1;
@@ -339,5 +423,123 @@ mod tests {
             assert!(cl.finalize(), "cut {cut}: {:?}", cl.errors());
             assert!(cl.cuts().values().all(ChannelCut::conserved));
         }
+    }
+
+    const P0: ProcessId = ProcessId(0);
+    const P1: ProcessId = ProcessId(1);
+    const P2: ProcessId = ProcessId(2);
+
+    #[test]
+    fn vector_clock_flags_settling_without_a_send() {
+        let mut vc = VectorClockObserver::new();
+        vc.on_deliver(P0, P1, 3);
+        assert_eq!(vc.errors().len(), 1, "{:?}", vc.errors());
+        assert!(vc.errors()[0].contains("delivery without send"));
+        vc.on_drop(P1, P0, 4);
+        assert_eq!(vc.errors().len(), 2, "{:?}", vc.errors());
+        assert!(vc.errors()[1].contains("drop without send"));
+        assert!(!vc.consistent());
+        // the unmatched delivery is still counted
+        assert_eq!(vc.deliveries(), 1);
+        // a send makes the next settlement on its channel clean, and the
+        // channel's queue is FIFO: one send settles exactly one event
+        vc.on_send(P1, P0, 5, 6);
+        vc.on_drop(P1, P0, 6);
+        assert_eq!(vc.errors().len(), 2);
+        vc.on_drop(P1, P0, 7);
+        assert_eq!(vc.errors().len(), 3);
+    }
+
+    #[test]
+    fn snapshot_flags_settling_without_a_send() {
+        let mut cl = ChandyLamportObserver::new(5);
+        cl.on_deliver(P0, P1, 3);
+        cl.on_drop(P1, P0, 4);
+        assert_eq!(cl.errors().len(), 2, "{:?}", cl.errors());
+        assert!(cl.errors()[0].contains("delivery without send"));
+        assert!(cl.errors()[1].contains("drop without send"));
+        assert!(!cl.finalize());
+        // an unmatched settlement opens no channel
+        assert!(cl.cuts().is_empty());
+    }
+
+    #[test]
+    fn snapshot_checks_the_scheduled_arrival() {
+        let mut cl = ChandyLamportObserver::new(10);
+        cl.on_send(P0, P1, 2, 5);
+        cl.on_deliver(P0, P1, 6);
+        assert_eq!(cl.errors().len(), 1, "{:?}", cl.errors());
+        assert!(cl.errors()[0].contains("scheduled arrival was 5"));
+        assert!(!cl.finalize());
+        // the late delivery still settles its message
+        let cut = &cl.cuts()[&(P0, P1)];
+        assert_eq!((cut.sent_before, cut.delivered_before), (1, 1));
+        assert!(cut.conserved());
+    }
+
+    #[test]
+    fn snapshot_accounts_each_side_of_the_cut() {
+        let mut cl = ChandyLamportObserver::new(10);
+        cl.on_send(P0, P1, 1, 2); // delivered before the cut
+        cl.on_send(P0, P1, 3, 12); // crosses the cut
+        cl.on_send(P0, P1, 4, 13); // still queued at the end of the run
+        cl.on_send(P1, P0, 2, 4); // dropped before the cut
+        cl.on_send(P2, P0, 11, 12); // sent after the cut, delivered
+        cl.on_send(P2, P1, 12, 14); // sent after the cut, never settled
+        cl.on_deliver(P0, P1, 2);
+        cl.on_drop(P1, P0, 4);
+        cl.on_deliver(P0, P1, 12);
+        cl.on_deliver(P2, P0, 12);
+        assert!(cl.finalize(), "{:?}", cl.errors());
+        let expected: BTreeMap<Channel, ChannelCut> = [
+            (
+                (P0, P1),
+                ChannelCut {
+                    sent_before: 3,
+                    delivered_before: 1,
+                    dropped_before: 0,
+                    in_flight: 2,
+                },
+            ),
+            (
+                (P1, P0),
+                ChannelCut {
+                    sent_before: 1,
+                    delivered_before: 0,
+                    dropped_before: 1,
+                    in_flight: 0,
+                },
+            ),
+            // a settled message opens its channel even when it was sent
+            // after the cut; an unsettled one does not
+            ((P2, P0), ChannelCut::default()),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(cl.cuts(), &expected);
+        assert_eq!(cl.cut_time(), 10);
+        // finalizing twice counts the queued message once
+        assert!(cl.finalize());
+        assert_eq!(cl.cuts(), &expected);
+    }
+
+    #[test]
+    fn clocks_list_only_nonzero_components() {
+        let mut vc = VectorClockObserver::new();
+        assert!(vc.clock(ProcessId(7)).is_empty());
+        vc.on_step(P2, 1, 0);
+        vc.on_send(P2, P0, 1, 2);
+        vc.on_deliver(P2, P0, 2);
+        let clock = |pairs: &[(ProcessId, u64)]| -> VClock { pairs.iter().copied().collect() };
+        assert_eq!(vc.clock(P2), clock(&[(P2, 2)]));
+        // the merge takes P2's stamp, then ticks P0
+        assert_eq!(vc.clock(P0), clock(&[(P0, 1), (P2, 2)]));
+        // P1 lies between seen processes but has no events
+        assert!(vc.clock(P1).is_empty());
+        assert!(vc.clock(ProcessId(7)).is_empty());
+        vc.on_decide(P0, 3);
+        assert_eq!(vc.clock(P0), clock(&[(P0, 2), (P2, 2)]));
+        assert!(vc.consistent(), "{:?}", vc.errors());
+        assert_eq!(vc.deliveries(), 1);
     }
 }

@@ -22,8 +22,9 @@
 //!    integration tests check the result against the `ps-models`
 //!    combinatorial constructions (Lemmas 11, 14, 19 made executable).
 //!
-//! All executors are deterministic: random adversaries are seeded, event
-//! ties break on (time, kind, sequence).
+//! All executors are deterministic: random adversaries are seeded, and
+//! events pop in (time, kind, push order) order — the scheduler buckets
+//! its queue by time, each bucket a delivery FIFO ahead of a step FIFO.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -65,5 +66,5 @@ pub mod sched;
 pub use sched::{
     run_policy, run_policy_observed, run_policy_with_stats, traffic_run, traffic_run_protocol,
     AsyncPolicy, MultiObserver, PolicyRun, SchedConfig, SchedObserver, SchedStats, Scheduler,
-    SemisyncPolicy, StepGossip, SyncPolicy, TimingPolicy, TrafficReport,
+    SemisyncPolicy, StepGossip, SyncPolicy, TimingPolicy, TrafficReport, MAX_PROCESSES,
 };

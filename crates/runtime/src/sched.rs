@@ -5,9 +5,8 @@
 //! and asynchronous models are *one* framework differing only in timing
 //! constraints. This module makes the runtime match that thesis: a
 //! single discrete-event core ([`Scheduler`]) with a monotone event
-//! queue (total `(time, kind, seq)` ordering, the PR-2 hardening) and
-//! indexed per-process mailboxes, on which the three models are nothing
-//! but [`TimingPolicy`] implementations:
+//! queue and indexed per-process mailboxes, on which the three models
+//! are nothing but [`TimingPolicy`] implementations:
 //!
 //! * [`SyncPolicy`] — lockstep rounds: every process steps once per
 //!   tick, every message arrives by the next tick;
@@ -15,6 +14,12 @@
 //!   adversary-chosen within bounds (enforced);
 //! * [`AsyncPolicy`] — unbounded adversary-chosen step intervals and
 //!   delays (no window is enforced).
+//!
+//! Events pop in the total order `(time, kind, push order)`: deliveries
+//! before steps at equal times, each kind in the order it was scheduled.
+//! The queue keeps one bucket per pending time, holding a delivery FIFO
+//! and a step FIFO, so it realizes that order by construction rather
+//! than by comparing events.
 //!
 //! All policies consume the same [`TimedAdversary`] interface, so
 //! `Lockstep`, `StretchAdversary`, `ScriptedPattern`, and
@@ -37,8 +42,7 @@
 //!    of accepted `Deliver` events (asserted against the event log when
 //!    logging is on).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use ps_core::ProcessId;
@@ -52,10 +56,10 @@ use crate::trace::SyncTrace;
 // Event queue
 // ---------------------------------------------------------------------------
 
-/// A scheduled event's payload.
-#[derive(Clone, Debug)]
-pub enum EventKind<M> {
-    /// A message delivery (deliveries sort before steps at equal times,
+/// A popped event's payload.
+#[derive(Debug)]
+pub(crate) enum EventKind<M> {
+    /// A message delivery (deliveries pop before steps at equal times,
     /// so a step sees every message that arrived "by" its step time).
     Deliver {
         /// Receiver.
@@ -72,115 +76,101 @@ pub enum EventKind<M> {
     },
 }
 
-impl<M> EventKind<M> {
-    /// Heap ordering discriminant: deliveries before steps at equal
-    /// times.
-    fn discriminant(&self) -> u8 {
-        match self {
-            EventKind::Deliver { .. } => 0,
-            EventKind::Step { .. } => 1,
-        }
-    }
-}
-
-/// A queued event. Ordering is strictly `(time, kind discriminant,
-/// seq)`: payload fields take no part in it, so two same-channel
-/// messages scheduled at the same tick pop in send (`seq`) order — the
-/// FIFO-per-channel guarantee hardened in PR 2.
-#[derive(Clone, Debug)]
-pub struct QueuedEvent<M> {
-    /// Scheduled time.
-    pub time: u64,
-    /// Global enqueue sequence number (unique).
-    pub seq: u64,
-    /// The event payload.
-    pub kind: EventKind<M>,
-}
-
-impl<M> QueuedEvent<M> {
-    fn key(&self) -> (u64, u8, u64) {
-        (self.time, self.kind.discriminant(), self.seq)
-    }
-}
-
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        // `seq` is unique per queued event, so key equality only occurs
-        // for the same event — consistent with Ord below.
-        self.key() == other.key()
-    }
-}
-
-impl<M> Eq for QueuedEvent<M> {}
-
-impl<M> PartialOrd for QueuedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for QueuedEvent<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-/// The monotone event queue: a min-heap over `(time, kind, seq)` with a
-/// global enqueue sequence counter.
+/// A popped event: its scheduled time and its payload.
 #[derive(Debug)]
-pub struct EventQueue<M> {
-    heap: BinaryHeap<Reverse<QueuedEvent<M>>>,
-    seq: u64,
+pub(crate) struct QueuedEvent<M> {
+    /// Scheduled time.
+    pub(crate) time: u64,
+    /// The event payload.
+    pub(crate) kind: EventKind<M>,
 }
 
-impl<M> Default for EventQueue<M> {
-    fn default() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
+/// A pending delivery. It stores neither its time (the key of its
+/// bucket) nor a sequence number (its place in the bucket's FIFO).
+#[derive(Debug)]
+struct Delivery<M> {
+    src: ProcessId,
+    dst: ProcessId,
+    msg: M,
+}
+
+/// The events pending at one time: deliveries, then steps, each in push
+/// order. A bucket in the queue is never empty.
+#[derive(Debug)]
+struct Bucket<M> {
+    deliveries: VecDeque<Delivery<M>>,
+    steps: VecDeque<ProcessId>,
+}
+
+/// The monotone event queue. Events pop in `(time, kind, push order)`
+/// order: by time, then deliveries before steps, then first pushed first
+/// popped. Payload fields take no part in the order, so two same-channel
+/// messages scheduled at the same tick pop in send order (FIFO per
+/// channel).
+///
+/// The queue keeps one [`Bucket`] per pending time, so a push or a pop
+/// costs a lookup among the few pending times plus a FIFO operation. A
+/// delivery pushed at the time being popped joins that time's delivery
+/// FIFO and still pops before the steps pending there.
+#[derive(Debug)]
+pub(crate) struct EventQueue<M> {
+    buckets: BTreeMap<u64, Bucket<M>>,
+    len: usize,
 }
 
 impl<M> EventQueue<M> {
     /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn new() -> Self {
+        EventQueue {
+            buckets: BTreeMap::new(),
+            len: 0,
+        }
+    }
+
+    fn bucket(&mut self, time: u64) -> &mut Bucket<M> {
+        self.len += 1;
+        self.buckets.entry(time).or_insert_with(|| Bucket {
+            deliveries: VecDeque::new(),
+            steps: VecDeque::new(),
+        })
     }
 
     /// Schedules a delivery at `time`.
-    pub fn push_deliver(&mut self, time: u64, src: ProcessId, dst: ProcessId, msg: M) {
-        self.heap.push(Reverse(QueuedEvent {
-            time,
-            seq: self.seq,
-            kind: EventKind::Deliver { dst, src, msg },
-        }));
-        self.seq += 1;
+    pub(crate) fn push_deliver(&mut self, time: u64, src: ProcessId, dst: ProcessId, msg: M) {
+        self.bucket(time)
+            .deliveries
+            .push_back(Delivery { src, dst, msg });
     }
 
     /// Schedules a step of `p` at `time`.
-    pub fn push_step(&mut self, time: u64, p: ProcessId) {
-        self.heap.push(Reverse(QueuedEvent {
-            time,
-            seq: self.seq,
-            kind: EventKind::Step { p },
-        }));
-        self.seq += 1;
+    pub(crate) fn push_step(&mut self, time: u64, p: ProcessId) {
+        self.bucket(time).steps.push_back(p);
     }
 
-    /// Pops the next event in `(time, kind, seq)` order.
-    pub fn pop(&mut self) -> Option<QueuedEvent<M>> {
-        self.heap.pop().map(|Reverse(ev)| ev)
+    /// Pops the next event in `(time, kind, push order)` order.
+    pub(crate) fn pop(&mut self) -> Option<QueuedEvent<M>> {
+        let mut first = self.buckets.first_entry()?;
+        let time = *first.key();
+        let bucket = first.get_mut();
+        let kind = match bucket.deliveries.pop_front() {
+            Some(Delivery { src, dst, msg }) => EventKind::Deliver { dst, src, msg },
+            None => EventKind::Step {
+                p: bucket
+                    .steps
+                    .pop_front()
+                    .expect("queued buckets are nonempty"),
+            },
+        };
+        if bucket.deliveries.is_empty() && bucket.steps.is_empty() {
+            first.remove();
+        }
+        self.len -= 1;
+        Some(QueuedEvent { time, kind })
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 }
 
@@ -449,6 +439,11 @@ pub trait Reactor<M> {
     );
 }
 
+/// The most processes a [`Scheduler`] runs. It keeps two `n × n` tables
+/// of per-channel times, so this bound keeps them at 256 MiB; the largest
+/// traffic run measured (E18) has 1000 processes.
+pub const MAX_PROCESSES: usize = 4096;
+
 /// The unified deterministic discrete-event scheduler.
 ///
 /// Owns the event queue, indexed per-process inboxes (pooled buffers —
@@ -480,7 +475,15 @@ pub struct Scheduler<M> {
 
 impl<M: Label> Scheduler<M> {
     /// Creates a scheduler for `n` processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`MAX_PROCESSES`].
     pub fn new(n: usize, cfg: SchedConfig) -> Self {
+        assert!(
+            n <= MAX_PROCESSES,
+            "the scheduler runs at most {MAX_PROCESSES} processes, got {n}"
+        );
         Scheduler {
             n,
             cfg,
@@ -1377,7 +1380,7 @@ mod tests {
     use crate::semisync_exec::Lockstep;
 
     #[test]
-    fn queue_orders_by_time_kind_seq() {
+    fn queue_orders_by_time_then_kind() {
         let mut q: EventQueue<u8> = EventQueue::new();
         q.push_step(5, ProcessId(0));
         q.push_deliver(5, ProcessId(1), ProcessId(0), 9);
@@ -1394,7 +1397,79 @@ mod tests {
             EventKind::Deliver { msg: 9, .. }
         ));
         assert!(matches!(q.pop().unwrap().kind, EventKind::Step { .. }));
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+    }
+
+    /// Pops every pending event as `(time, 'd' | 's', tag)`, where a
+    /// delivery's tag is its payload and a step's its process.
+    fn drain(q: &mut EventQueue<u32>) -> Vec<(u64, char, u32)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|ev| match ev.kind {
+                EventKind::Deliver { msg, .. } => (ev.time, 'd', msg),
+                EventKind::Step { p } => (ev.time, 's', p.0),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn queue_pops_each_kind_in_push_order() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for (i, t) in [4u64, 2, 4, 3, 2, 4].into_iter().enumerate() {
+            q.push_step(t, ProcessId(i as u32));
+            q.push_deliver(t, ProcessId(0), ProcessId(1), 10 + i as u32);
+        }
+        assert_eq!(
+            drain(&mut q),
+            [
+                (2, 'd', 11),
+                (2, 'd', 14),
+                (2, 's', 1),
+                (2, 's', 4),
+                (3, 'd', 13),
+                (3, 's', 3),
+                (4, 'd', 10),
+                (4, 'd', 12),
+                (4, 'd', 15),
+                (4, 's', 0),
+                (4, 's', 2),
+                (4, 's', 5),
+            ]
+        );
+    }
+
+    #[test]
+    fn delivery_pushed_at_the_popped_time_precedes_its_steps() {
+        // a zero-delay send during a step at t pops before the steps
+        // still pending at t, as in the (time, kind, push order) order
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push_step(1, ProcessId(0));
+        q.push_step(1, ProcessId(1));
+        assert_eq!(q.pop().map(|ev| ev.time), Some(1));
+        q.push_deliver(1, ProcessId(0), ProcessId(1), 7);
+        q.push_step(1, ProcessId(2));
+        q.push_deliver(1, ProcessId(0), ProcessId(2), 8);
+        assert_eq!(q.len(), 4);
+        assert_eq!(
+            drain(&mut q),
+            [(1, 'd', 7), (1, 'd', 8), (1, 's', 1), (1, 's', 2)]
+        );
+        // a time whose last event popped starts afresh
+        q.push_step(1, ProcessId(3));
+        q.push_deliver(1, ProcessId(3), ProcessId(0), 9);
+        assert_eq!(drain(&mut q), [(1, 'd', 9), (1, 's', 3)]);
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4096 processes, got 4097")]
+    fn scheduler_rejects_more_than_max_processes() {
+        let cfg = SchedConfig {
+            max_time: u64::MAX,
+            halt_decided: false,
+            log_events: false,
+            stop_after_delivered: None,
+        };
+        let _ = Scheduler::<u8>::new(MAX_PROCESSES + 1, cfg);
     }
 
     #[test]
