@@ -44,6 +44,7 @@ use ps_runtime::{
     AsyncAdversary, AsyncExecutor, HeardSets, RandomAsyncAdversary, RoundFailures,
     ScriptedAdversary, ScriptedHeardSets, SyncExecutor, SyncTrace,
 };
+use ps_topology::for_each_product;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -400,26 +401,13 @@ fn input_assignments(
 ) -> Vec<Vec<u64>> {
     let vals: Vec<u64> = values.iter().copied().collect();
     let total = (vals.len() as u128).checked_pow(n_plus_1 as u32);
-    if let Some(total) = total {
-        if total <= cfg.input_limit as u128 {
-            let mut out = Vec::with_capacity(total as usize);
-            let mut idx = vec![0usize; n_plus_1];
-            loop {
-                out.push(idx.iter().map(|&i| vals[i]).collect());
-                let mut d = 0;
-                loop {
-                    if d == n_plus_1 {
-                        return out;
-                    }
-                    idx[d] += 1;
-                    if idx[d] < vals.len() {
-                        break;
-                    }
-                    idx[d] = 0;
-                    d += 1;
-                }
-            }
-        }
+    if total.is_some_and(|total| total <= cfg.input_limit as u128) {
+        // the first process's value varies fastest: read tuples reversed
+        let mut out = Vec::new();
+        for_each_product(&vec![vals; n_plus_1], |pick| {
+            out.push(pick.iter().rev().map(|&&v| v).collect());
+        });
+        return out;
     }
     // staircase: process i gets the i-th smallest value (saturating)
     let mut out = vec![(0..n_plus_1)

@@ -19,7 +19,9 @@ use ps_models::{
     SyncModel, View,
 };
 use ps_topology::parallel::parallel_map;
-use ps_topology::{Complex, IdComplex, InternedBuilder, Label, Simplex, VertexPool};
+use ps_topology::{
+    for_each_product, Complex, IdComplex, InternedBuilder, Label, Simplex, VertexPool,
+};
 
 use crate::solver::{AgreementConstraint, DecisionMapSolver, PreparedInstance};
 use crate::store::{StoreKey, StoredVerdict, VerdictStore};
@@ -95,29 +97,12 @@ pub fn input_faces(
         if procs.len() < min_participants.max(1) {
             continue;
         }
-        // all assignments values^|procs|
-        let mut idx = vec![0usize; procs.len()];
-        'assign: loop {
-            out.push(Simplex::new(
-                procs
-                    .iter()
-                    .zip(&idx)
-                    .map(|(p, &i)| (*p, vals[i]))
-                    .collect(),
-            ));
-            let mut i = 0;
-            loop {
-                if i == procs.len() {
-                    break 'assign;
-                }
-                idx[i] += 1;
-                if idx[i] < vals.len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
+        // all assignments values^|procs|, the first process's value
+        // varying fastest (the tuple is read reversed)
+        for_each_product(&vec![vals.clone(); procs.len()], |pick| {
+            let face = procs.iter().copied().zip(pick.iter().rev().map(|&&v| v));
+            out.push(Simplex::new(face.collect()));
+        });
     }
     out.sort_by_key(|s| std::cmp::Reverse(s.len()));
     out

@@ -406,6 +406,19 @@ fn prove(args: &Args) -> Result<(), ArgError> {
     let n = args.usize_opt("procs", 3)?;
     let k = args.usize_opt("k", 1)?;
     let p = args.u32_opt("p", 2)?;
+    // the sweeps' bounds on --procs and (semisync) --p; --k is the
+    // crash bound here and prove reads no --f, so the check runs at
+    // k = 1, f = 0
+    SweepPoint::SemiSync {
+        k: 1,
+        f: 0,
+        n_plus_1: n,
+        k_per_round: 1,
+        microrounds: if model == "semisync" { p } else { 1 },
+        rounds: 1,
+    }
+    .check()
+    .map_err(ArgError)?;
     let inputs: Vec<u8> = (0..n as u8).collect();
     let input = input_simplex(&inputs);
     match model.as_str() {

@@ -275,7 +275,7 @@ fn out_of_range_sizes_rejected() {
     let f_bound = |f| format!("the crash budget f must be at most n = 2 for 3 processes, got {f}");
     let t_bound =
         |t| format!("the Byzantine budget t must be at most n = 2 for 3 processes, got {t}");
-    let table: [(&[&str], &[&str], String); 20] = [
+    let table: [(&[&str], &[&str], String); 23] = [
         // 9 processes have 72 ordered pairs, more than the 64-bit edge
         // mask holds; the shifts used to wrap and answer on the wrong
         // complex
@@ -303,6 +303,15 @@ fn out_of_range_sizes_rejected() {
             &["solve", "sweep", "conform", "homology"],
             &["async", "--k", "0"],
             "k-set agreement needs k ≥ 1, got 0".into(),
+        ),
+        // prove used to panic on each: in the model constructors (no
+        // processes, no microrounds) and in the subset enumeration
+        (&["prove"], &["sync", "--procs", "0"], procs(0)),
+        (&["prove"], &["sync", "--procs", "21"], procs(21)),
+        (
+            &["prove"],
+            &["semisync", "--p", "0"],
+            "the semi-synchronous model needs at least one microround, got 0".into(),
         ),
         // a grid without rounds used to sweep r = 1 quietly
         (
@@ -392,6 +401,8 @@ fn out_of_range_sizes_rejected() {
         &["solve", "byzantine", "--procs", "3", "--t", "2"],
         &["complex", "iis", "--procs", "1"],
         &["complex", "iis", "--f", "7"],
+        &["prove", "sync", "--procs", "1"],
+        &["prove", "semisync", "--procs", "1"],
     ] {
         let (stdout, stderr, ok) = psph(argv);
         assert!(ok, "{argv:?}: {stderr}");

@@ -38,7 +38,7 @@ pub mod iis;
 pub use iis::IisModel;
 
 pub mod semisync;
-pub use semisync::{FailurePattern, SemiSyncModel, SemiSyncTiming, ViewVector};
+pub use semisync::{FailurePattern, SemiSyncModel, ViewVector};
 
 pub mod byzantine;
 pub use byzantine::{equivocation_alphabet, ByzantineModel};
@@ -53,6 +53,5 @@ mod unfold;
 
 pub mod schedules;
 pub use schedules::{
-    async_heard_schedules, semisync_crash_timings, sync_crash_schedules, AsyncSchedule, CrashPlan,
-    HeardPlan, SyncSchedule, TimedCrashes,
+    async_heard_schedules, sync_crash_schedules, AsyncSchedule, CrashPlan, HeardPlan, SyncSchedule,
 };

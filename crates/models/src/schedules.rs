@@ -5,6 +5,8 @@
 //! admissible adversary behaviors whose executions the solvability
 //! verdict quantifies over. This module enumerates them explicitly —
 //! the schedule-level counterpart of the per-model protocol complexes.
+//! Each round of either space is a product (one independent pick per
+//! crasher or per process), walked with [`for_each_product`].
 //!
 //! * [`sync_crash_schedules`] — §7 synchronous crash schedules: per
 //!   round a failure set within the per-round cap and remaining budget,
@@ -15,23 +17,22 @@
 //! * [`async_heard_schedules`] — §6 asynchronous round schedules: per
 //!   round, per participant, a heard set containing itself with
 //!   ≥ `n + 1 − f` participants.
-//! * [`semisync_crash_timings`] — §8 semi-synchronous failure timings:
-//!   which processes crash and at which real-time step, feeding the
-//!   runtime's scripted timed adversaries.
 //!
-//! All generators are bounded by an explicit `limit` and return `None`
+//! Both generators are bounded by an explicit `limit` and return `None`
 //! when the space is larger — callers fall back to seeded randomized
-//! schedules beyond the exhaustive regime.
+//! schedules beyond the exhaustive regime. The semi-synchronous model
+//! has no generator here: conformance skips its points.
 //!
-//! The synchronous and asynchronous enumerators also feed the
-//! simulator-side view complexes: `ps-runtime`'s `enumerate_sync_views`
-//! and `enumerate_async_views` replay every schedule (with no limit)
-//! through the executors, so the cross-validation against the model
-//! complexes runs on the same schedule spaces as conformance.
+//! Both enumerators also feed the simulator-side view complexes:
+//! `ps-runtime`'s `enumerate_sync_views` and `enumerate_async_views`
+//! replay every schedule (with no limit) through the executors, so the
+//! cross-validation against the model complexes runs on the same
+//! schedule spaces as conformance.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ps_core::{subsets_of_min_size, subsets_up_to_size_lex, ProcessId};
+use ps_topology::for_each_product;
 
 /// One synchronous round's failures: crashing process ↦ the set of
 /// survivors that still receive its final broadcast.
@@ -49,11 +50,6 @@ pub type HeardPlan = BTreeMap<ProcessId, BTreeSet<ProcessId>>;
 /// A complete asynchronous schedule, round-indexed (round 1 = index 0).
 pub type AsyncSchedule = Vec<HeardPlan>;
 
-/// A semi-synchronous failure timing: crashing process ↦ the real-time
-/// step at which it halts (1-based; messages sent before that step are
-/// delivered normally).
-pub type TimedCrashes = BTreeMap<ProcessId, u64>;
-
 /// Enumerates every §7 synchronous crash schedule for `n_plus_1`
 /// processes with at most `k_per_round` crashes per round, `f_total`
 /// overall, over `rounds` rounds.
@@ -61,8 +57,8 @@ pub type TimedCrashes = BTreeMap<ProcessId, u64>;
 /// Per round the failure set ranges over subsets of the alive set
 /// (size-then-lex order, capped by the remaining budget), and each
 /// crasher's final broadcast reaches an arbitrary subset of that
-/// round's survivors. Returns `None` if the space exceeds `limit`
-/// schedules.
+/// round's survivors, the first crasher's subset varying fastest.
+/// Returns `None` if the space exceeds `limit` schedules.
 ///
 /// `ps-runtime::for_each_sync_execution` enumerates in the same order
 /// but is not mirrored exactly: it halts decided processes (§4), so it
@@ -82,27 +78,26 @@ pub fn sync_crash_schedules(
 ) -> Option<Vec<SyncSchedule>> {
     let alive: BTreeSet<ProcessId> = (0..n_plus_1).map(|i| ProcessId(i as u32)).collect();
     let mut out = Vec::new();
-    if sync_rec(
+    let within = sync_rec(
         &alive,
         k_per_round,
         f_total,
         rounds,
-        Vec::new(),
+        &mut Vec::new(),
         limit,
         &mut out,
-    ) {
-        Some(out)
-    } else {
-        None
-    }
+    );
+    within.then_some(out)
 }
 
+/// Pushes `prefix` extended by every crash plan of the remaining
+/// `rounds` onto `out`; `false` as soon as that would exceed `limit`.
 fn sync_rec(
     alive: &BTreeSet<ProcessId>,
     k_per_round: usize,
     budget: usize,
     rounds: usize,
-    prefix: SyncSchedule,
+    prefix: &mut SyncSchedule,
     limit: usize,
     out: &mut Vec<SyncSchedule>,
 ) -> bool {
@@ -110,53 +105,40 @@ fn sync_rec(
         if out.len() == limit {
             return false;
         }
-        out.push(prefix);
+        out.push(prefix.clone());
         return true;
     }
-    let cap = k_per_round.min(budget);
-    for crash_set in subsets_up_to_size_lex(alive, cap) {
+    for crash_set in subsets_up_to_size_lex(alive, k_per_round.min(budget)) {
         let survivors: BTreeSet<ProcessId> = alive.difference(&crash_set).copied().collect();
-        let crashers: Vec<ProcessId> = crash_set.iter().copied().collect();
-        // Per crasher, every subset of the survivors may still hear it.
-        let recipient_choices: Vec<Vec<BTreeSet<ProcessId>>> = crashers
+        // Per crasher, every subset of the survivors may still hear it;
+        // the tuple is read reversed so the first crasher varies fastest.
+        let recipients: Vec<Vec<BTreeSet<ProcessId>>> = crash_set
             .iter()
             .map(|_| subsets_up_to_size_lex(&survivors, survivors.len()))
             .collect();
-        let mut idx = vec![0usize; crashers.len()];
-        'combos: loop {
-            let plan: CrashPlan = crashers
+        let mut within = true;
+        for_each_product(&recipients, |pick| {
+            if !within {
+                return;
+            }
+            let plan = crash_set
                 .iter()
-                .enumerate()
-                .map(|(ci, c)| (*c, recipient_choices[ci][idx[ci]].clone()))
-                .collect();
-            let mut next = prefix.clone();
-            next.push(plan);
-            if !sync_rec(
+                .copied()
+                .zip(pick.iter().rev().map(|&r| r.clone()));
+            prefix.push(plan.collect());
+            within = sync_rec(
                 &survivors,
                 k_per_round,
                 budget - crash_set.len(),
                 rounds - 1,
-                next,
+                prefix,
                 limit,
                 out,
-            ) {
-                return false;
-            }
-            if crashers.is_empty() {
-                break 'combos;
-            }
-            let mut i = 0;
-            loop {
-                if i == crashers.len() {
-                    break 'combos;
-                }
-                idx[i] += 1;
-                if idx[i] < recipient_choices[i].len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
+            );
+            prefix.pop();
+        });
+        if !within {
+            return false;
         }
     }
     true
@@ -164,9 +146,13 @@ fn sync_rec(
 
 /// Enumerates every §6 asynchronous round schedule over the given
 /// participant set: per round, each participant hears a set containing
-/// itself of size ≥ `min_heard`, drawn from the participants.
+/// itself of size ≥ `min_heard`, drawn from the participants. A round's
+/// plans are the product of the participants' heard sets, the last
+/// participant's varying fastest, and the schedules the product of the
+/// rounds' plans, the last round's varying fastest.
 ///
-/// Returns `None` if the space exceeds `limit` schedules. The space is
+/// Returns `None` if the space exceeds `limit` schedules, or a round
+/// has more than `limit` plans. The space is
 /// `(Σ_p #choices)^(|participants| · rounds)`-ish — keep to 1 round and
 /// small n for exhaustive runs.
 pub fn async_heard_schedules(
@@ -177,111 +163,43 @@ pub fn async_heard_schedules(
 ) -> Option<Vec<AsyncSchedule>> {
     // Per participant, the admissible heard sets: itself plus any
     // ≥ min_heard − 1 of the others.
-    let per_proc: Vec<(ProcessId, Vec<BTreeSet<ProcessId>>)> = participants
+    let heard: Vec<Vec<BTreeSet<ProcessId>>> = participants
         .iter()
         .map(|p| {
             let others: BTreeSet<ProcessId> =
                 participants.iter().copied().filter(|q| q != p).collect();
-            let choices: Vec<BTreeSet<ProcessId>> =
-                subsets_of_min_size(&others, min_heard.saturating_sub(1))
-                    .into_iter()
-                    .map(|mut s| {
-                        s.insert(*p);
-                        s
-                    })
-                    .collect();
-            (*p, choices)
+            subsets_of_min_size(&others, min_heard.saturating_sub(1))
+                .into_iter()
+                .map(|mut s| {
+                    s.insert(*p);
+                    s
+                })
+                .collect()
         })
         .collect();
-    // All heard plans for one round: the cross product over processes.
-    let mut round_plans: Vec<HeardPlan> = vec![BTreeMap::new()];
-    for (p, choices) in &per_proc {
-        let mut next = Vec::with_capacity(round_plans.len() * choices.len());
-        for plan in &round_plans {
-            for c in choices {
-                if next.len() == limit {
-                    return None;
-                }
-                let mut plan = plan.clone();
-                plan.insert(*p, c.clone());
-                next.push(plan);
-            }
-        }
-        round_plans = next;
-    }
-    // All schedules: the cross product over rounds.
-    let mut out: Vec<AsyncSchedule> = vec![Vec::new()];
-    for _ in 0..rounds {
-        let mut next = Vec::with_capacity(out.len() * round_plans.len());
-        for sched in &out {
-            for plan in &round_plans {
-                if next.len() == limit {
-                    return None;
-                }
-                let mut sched = sched.clone();
-                sched.push(plan.clone());
-                next.push(sched);
-            }
-        }
-        out = next;
-    }
-    if out.len() > limit {
+    // Count before building anything: the plans as the product over
+    // participants grows, then the schedules round by round. A count
+    // past `limit` at any step answers `None`.
+    let within = |count: Option<usize>| count.filter(|&count| count <= limit);
+    let plans = heard.iter().try_fold(1, |count: usize, choices| {
+        within(count.checked_mul(choices.len()))
+    })?;
+    let schedules = (0..rounds).try_fold(1, |count: usize, _| within(count.checked_mul(plans)))?;
+    if schedules > limit {
         return None;
     }
-    Some(out)
-}
-
-/// Enumerates §8 semi-synchronous failure timings: every crash set of
-/// size ≤ `f`, with each crasher assigned a halt step in `1..=steps`.
-///
-/// Returns `None` if the space exceeds `limit` timings. The failure-free
-/// timing (empty map) is always first.
-pub fn semisync_crash_timings(
-    n_plus_1: usize,
-    f: usize,
-    steps: u64,
-    limit: usize,
-) -> Option<Vec<TimedCrashes>> {
-    let all: BTreeSet<ProcessId> = (0..n_plus_1).map(|i| ProcessId(i as u32)).collect();
-    let mut out: Vec<TimedCrashes> = Vec::new();
-    for crash_set in subsets_up_to_size_lex(&all, f.min(n_plus_1)) {
-        let crashers: Vec<ProcessId> = crash_set.iter().copied().collect();
-        if crashers.is_empty() {
-            if out.len() == limit {
-                return None;
-            }
-            out.push(TimedCrashes::new());
-            continue;
-        }
-        if steps == 0 {
-            continue;
-        }
-        let mut times = vec![1u64; crashers.len()];
-        'odometer: loop {
-            if out.len() == limit {
-                return None;
-            }
-            out.push(
-                crashers
-                    .iter()
-                    .copied()
-                    .zip(times.iter().copied())
-                    .collect(),
-            );
-            let mut i = 0;
-            loop {
-                if i == crashers.len() {
-                    break 'odometer;
-                }
-                times[i] += 1;
-                if times[i] <= steps {
-                    break;
-                }
-                times[i] = 1;
-                i += 1;
-            }
-        }
-    }
+    let mut round_plans: Vec<HeardPlan> = Vec::with_capacity(plans);
+    for_each_product(&heard, |pick| {
+        let plan = participants
+            .iter()
+            .copied()
+            .zip(pick.iter().map(|&s| s.clone()));
+        round_plans.push(plan.collect());
+    });
+    let mut out: Vec<AsyncSchedule> = Vec::with_capacity(schedules);
+    for_each_product(&vec![round_plans; rounds], |pick| {
+        out.push(pick.iter().map(|&plan| plan.clone()).collect());
+    });
     Some(out)
 }
 
@@ -357,18 +275,5 @@ mod tests {
     fn async_limit_returns_none() {
         let parts: BTreeSet<ProcessId> = [pid(0), pid(1), pid(2)].into();
         assert!(async_heard_schedules(&parts, 2, 2, 100).is_none());
-    }
-
-    #[test]
-    fn semisync_timings_enumerate_crash_steps() {
-        // 2 procs, f = 1, steps ≤ 2: ∅ + 2 crashers × 2 steps = 5.
-        let t = semisync_crash_timings(2, 1, 2, 1_000).unwrap();
-        assert_eq!(t.len(), 5);
-        assert!(t[0].is_empty());
-        for timing in &t {
-            for (&_, &step) in timing {
-                assert!((1..=2).contains(&step));
-            }
-        }
     }
 }

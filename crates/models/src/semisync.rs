@@ -13,11 +13,15 @@
 //! intersection structure `K ∩ L = ∪_{j∈K_ℓ} ψ(Sⁿ\K_ℓ; [F_ℓ ↑ j])`;
 //! Lemma 21 the connectivity; and the round-stretching argument yields
 //! the Corollary 22 time lower bound `⌊f/k⌋·d + C·d`, `C = c2/c1`.
+//!
+//! The combinatorial model here takes only `p`; `ps-runtime`'s
+//! `TimedParams` holds `c1`, `c2` and `d` and derives `p`, `C` and the
+//! Corollary 22 bound from them.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ps_core::{subsets_up_to_size_lex, ProcessId, Pseudosphere, PseudosphereUnion};
-use ps_topology::{Complex, InternedBuilder, Label, Simplex};
+use ps_topology::{for_each_product, Complex, InternedBuilder, Label, Simplex};
 
 use crate::unfold::{unfold, Member, Round};
 use crate::view::{ss_input_views, InputSimplex, SsView};
@@ -28,45 +32,6 @@ pub type FailurePattern = BTreeMap<ProcessId, u32>;
 /// A semi-synchronous view vector: per participant, the microround of the
 /// last message received (`0` = nothing received, `p` = nonfaulty).
 pub type ViewVector = BTreeMap<ProcessId, u32>;
-
-/// Real-time parameters of the semi-synchronous model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SemiSyncTiming {
-    /// Minimum step time `c1 > 0`.
-    pub c1: f64,
-    /// Maximum step time `c2 ≥ c1`.
-    pub c2: f64,
-    /// Maximum message delivery time `d > 0`.
-    pub d: f64,
-}
-
-impl SemiSyncTiming {
-    /// Creates timing parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < c1 ≤ c2` and `d > 0`.
-    pub fn new(c1: f64, c2: f64, d: f64) -> Self {
-        assert!(c1 > 0.0 && c2 >= c1 && d > 0.0, "invalid timing parameters");
-        SemiSyncTiming { c1, c2, d }
-    }
-
-    /// Microrounds per round: `p = ⌈d/c1⌉`.
-    pub fn microrounds(&self) -> u32 {
-        (self.d / self.c1).ceil() as u32
-    }
-
-    /// The timing-uncertainty ratio `C = c2 / c1`.
-    pub fn big_c(&self) -> f64 {
-        self.c2 / self.c1
-    }
-
-    /// Corollary 22's wait-free time lower bound for `k`-set agreement
-    /// with `f = n` failures: `⌊f/k⌋·d + C·d`.
-    pub fn corollary22_bound(&self, f: usize, k: usize) -> f64 {
-        (f / k) as f64 * self.d + self.big_c() * self.d
-    }
-}
 
 /// Parameters of the semi-synchronous round structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,74 +63,49 @@ impl SemiSyncModel {
         }
     }
 
-    /// Convenience: derive the combinatorial model from timing parameters.
-    pub fn from_timing(
-        n_plus_1: usize,
-        k_per_round: usize,
-        f_total: usize,
-        t: SemiSyncTiming,
-    ) -> Self {
-        Self::new(n_plus_1, k_per_round, f_total, t.microrounds())
-    }
-
     /// All failure patterns for `k_set`, in the paper's *reverse
     /// lexicographic* order: the first pattern fails every process at
-    /// microround `p`, the last at microround `1`.
+    /// microround `p`, the last at microround `1`. That is the product
+    /// over `K` (in process order) of the descending lists `p, …, 1`;
+    /// the empty `K` has the one empty pattern.
     pub fn failure_patterns(&self, k_set: &BTreeSet<ProcessId>) -> Vec<FailurePattern> {
-        let procs: Vec<ProcessId> = k_set.iter().copied().collect();
-        if procs.is_empty() {
-            return vec![FailurePattern::new()];
-        }
-        let p = self.microrounds;
+        let descending: Vec<Vec<u32>> = k_set
+            .iter()
+            .map(|_| (1..=self.microrounds).rev().collect())
+            .collect();
         let mut out = Vec::new();
-        let mut vals = vec![p; procs.len()];
-        loop {
-            out.push(procs.iter().copied().zip(vals.iter().copied()).collect());
-            // reverse-lex decrement
-            let mut i = procs.len();
-            loop {
-                if i == 0 {
-                    return out;
-                }
-                i -= 1;
-                if vals[i] > 1 {
-                    vals[i] -= 1;
-                    for v in vals.iter_mut().skip(i + 1) {
-                        *v = p;
-                    }
-                    break;
-                }
-                if i == 0 {
-                    return out;
-                }
-            }
-        }
+        for_each_product(&descending, |pick| {
+            out.push(
+                k_set
+                    .iter()
+                    .copied()
+                    .zip(pick.iter().map(|&&f| f))
+                    .collect(),
+            );
+        });
+        out
     }
 
     /// The paper's `[F]`: all view vectors consistent with failure set
     /// `k_set` and pattern `pattern` over `participants`. Failed `P_j`
     /// contributes `μ_j ∈ {F(P_j)-1, F(P_j)}`, survivors `μ_j = p`.
+    /// Sorted: the product of the failed processes' `μ_j` pairs in
+    /// process order lists the vectors in ascending order.
     pub fn view_box(
         &self,
         participants: &BTreeSet<ProcessId>,
         pattern: &FailurePattern,
     ) -> Vec<ViewVector> {
-        let failed: Vec<ProcessId> = pattern.keys().copied().collect();
+        let mus: Vec<Vec<u32>> = pattern.values().map(|&f| vec![f - 1, f]).collect();
         let mut out = Vec::new();
-        for mask in 0u32..(1 << failed.len()) {
+        for_each_product(&mus, |pick| {
             let mut v: ViewVector = participants
                 .iter()
                 .map(|q| (*q, self.microrounds))
                 .collect();
-            for (i, j) in failed.iter().enumerate() {
-                let fj = pattern[j];
-                let mu = if mask & (1 << i) != 0 { fj } else { fj - 1 };
-                v.insert(*j, mu);
-            }
+            v.extend(pattern.keys().copied().zip(pick.iter().map(|&&mu| mu)));
             out.push(v);
-        }
-        out.sort();
-        out.dedup();
+        });
         out
     }
 
@@ -380,22 +320,6 @@ mod tests {
         let mut out = InternedBuilder::new();
         out.add_pseudosphere(m.round_options(state, k_set, pattern));
         out.finish()
-    }
-
-    #[test]
-    fn timing_derivations() {
-        let t = SemiSyncTiming::new(1.0, 4.0, 2.0);
-        assert_eq!(t.microrounds(), 2);
-        assert_eq!(t.big_c(), 4.0);
-        assert_eq!(t.corollary22_bound(2, 1), 2.0 * 2.0 + 4.0 * 2.0);
-        let m = SemiSyncModel::from_timing(3, 1, 1, t);
-        assert_eq!(m.microrounds, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid timing")]
-    fn timing_validation() {
-        let _ = SemiSyncTiming::new(2.0, 1.0, 1.0);
     }
 
     #[test]

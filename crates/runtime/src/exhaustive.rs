@@ -11,6 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ps_core::{subsets_up_to_size_lex, ProcessId};
+use ps_topology::for_each_product;
 
 use crate::protocol::RoundProtocol;
 use crate::sched::round_inboxes;
@@ -108,12 +109,14 @@ fn rec<P: RoundProtocol>(
             .copied()
             .filter(|c| msgs.contains_key(c))
             .collect();
-        let recipient_choices: Vec<Vec<BTreeSet<ProcessId>>> = crashing
+        // Per undecided crasher, every subset of the survivors may still
+        // hear it; the tuple is read reversed so the first crasher varies
+        // fastest.
+        let recipients: Vec<Vec<BTreeSet<ProcessId>>> = crashing
             .iter()
             .map(|_| subsets_up_to_size_lex(&survivors, survivors.len()))
             .collect();
-        let mut idx = vec![0usize; crashing.len()];
-        'combos: loop {
+        for_each_product(&recipients, |pick| {
             let mut next_states = BTreeMap::new();
             let mut next_decided = decided.clone();
             let mut next_trace = trace.clone();
@@ -122,8 +125,8 @@ fn rec<P: RoundProtocol>(
             }
             let crasher_recips: Vec<(ProcessId, &BTreeSet<ProcessId>)> = crashing
                 .iter()
-                .enumerate()
-                .map(|(ci, c)| (*c, &recipient_choices[ci][idx[ci]]))
+                .copied()
+                .zip(pick.iter().rev().copied())
                 .collect();
             let inboxes = round_inboxes(&msgs, &survivors, &crasher_recips);
             for s in &survivors {
@@ -151,22 +154,7 @@ fn rec<P: RoundProtocol>(
                 round + 1,
                 visit,
             );
-            if crashing.is_empty() {
-                break 'combos;
-            }
-            let mut i = 0;
-            loop {
-                if i == crashing.len() {
-                    break 'combos;
-                }
-                idx[i] += 1;
-                if idx[i] < recipient_choices[i].len() {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
+        });
     }
 }
 

@@ -1,33 +1,21 @@
-//! Group actions on interned complexes through `VertexPool`
-//! relabeling.
+//! Group actions on interned complexes through vertex-id relabeling.
 //!
 //! A symmetry of a protocol complex is naturally described at the
 //! *label* level — e.g. "swap processes 1 and 2 and swap input values
 //! 0 and 1", acting on full-information views. [`label_permutation`]
 //! lifts such a label action to a permutation of dense vertex ids by
-//! looking each image up (in a pool, for [`pool_permutation`]), and
-//! fails (returns `None`) when the action does not map the label set
-//! onto itself. Once
-//! lifted, checking that the action preserves an [`IdComplex`] is a
-//! check on the complex's pseudosphere cover, or else a facet-set
-//! membership scan ([`AutomorphismValidator`]).
+//! looking each image up, and fails (returns `None`) when the action
+//! does not map the label set onto itself. Once lifted, checking that
+//! the action preserves an [`IdComplex`] is a check on the complex's
+//! pseudosphere cover, or else a facet-set membership scan
+//! ([`AutomorphismValidator`]).
 
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use ps_topology::{IdComplex, IdSimplex, Label, PseudosphereCover, VertexPool};
+use ps_topology::{IdComplex, IdSimplex, PseudosphereCover};
 
 use crate::perm::Perm;
-
-/// Lifts a label-level action to a vertex-id permutation through a
-/// pool: [`label_permutation`] with the pool's lookup.
-///
-/// Returns `None` when the action is not a bijection of the pool's
-/// label set onto itself (some image is not an interned label, or two
-/// labels collide). The resulting permutation has degree `pool.len()`.
-pub fn pool_permutation<V: Label>(pool: &VertexPool<V>, act: impl Fn(&V) -> V) -> Option<Perm> {
-    label_permutation(pool.labels(), |v| pool.id_of(v), act)
-}
 
 /// Lifts a label-level action to a vertex-id permutation: vertex `i`
 /// (labelled `labels[i]`) maps to the id `id_of` gives its image.
@@ -54,19 +42,6 @@ pub fn label_permutation<V>(
 /// degree.
 pub fn apply_to_simplex(perm: &Perm, s: &IdSimplex) -> IdSimplex {
     IdSimplex::from_ids(s.ids().map(|id| perm.apply(id)).collect())
-}
-
-/// Applies a vertex-id permutation to every facet of a complex.
-///
-/// Because a permutation is a bijection on vertices, the image of a
-/// facet anti-chain is again an anti-chain, so facets are inserted
-/// unchecked.
-pub fn apply_to_complex(perm: &Perm, c: &IdComplex) -> IdComplex {
-    let mut out = IdComplex::new();
-    for f in c.facets() {
-        out.insert_facet_unchecked(apply_to_simplex(perm, f));
-    }
-    out
 }
 
 /// Certifies that proposed generators preserve a fixed complex.
@@ -96,10 +71,10 @@ pub struct AutomorphismValidator<'a> {
     n: usize,
     /// The cover's pseudospheres, by [`slot_list_key`].
     cover: Option<HashSet<Box<[u32]>>>,
-    /// Lists the facets for the walk, each with its position.
-    walk: Box<dyn Fn() -> HashMap<IdSimplex, usize> + 'a>,
-    /// Facet ↦ position in the walk's facet order, built on first need.
-    facets: OnceCell<HashMap<IdSimplex, usize>>,
+    /// Lists the facets for the walk.
+    walk: Box<dyn Fn() -> HashSet<IdSimplex> + 'a>,
+    /// The facet set, built on first need.
+    facets: OnceCell<HashSet<IdSimplex>>,
 }
 
 /// Rewrites a slot list in the flat layout of
@@ -136,10 +111,9 @@ impl<'a> AutomorphismValidator<'a> {
 
     /// Prepares the complex with pseudosphere cover `cover` (if one is
     /// known) and the facets `facets` lists for repeated validation.
-    /// `facets` runs at most once, when a check first needs the walk;
-    /// the positions [`AutomorphismValidator::facet_action`] permutes
-    /// are its listing order. Vertex ids must be dense (`< n`), where
-    /// `n` is the degree of the permutations to validate.
+    /// `facets` runs at most once, when a check first needs the walk.
+    /// Vertex ids must be dense (`< n`), where `n` is the degree of the
+    /// permutations to validate.
     pub fn with_facets<I>(
         cover: Option<&PseudosphereCover>,
         n: usize,
@@ -164,13 +138,13 @@ impl<'a> AutomorphismValidator<'a> {
         AutomorphismValidator {
             n,
             cover,
-            walk: Box::new(move || facets().enumerate().map(|(i, f)| (f, i)).collect()),
+            walk: Box::new(move || facets().collect()),
             facets: OnceCell::new(),
         }
     }
 
-    /// The facet index, built on first call.
-    fn facet_index(&self) -> &HashMap<IdSimplex, usize> {
+    /// The facet set, built on first call.
+    fn facet_set(&self) -> &HashSet<IdSimplex> {
         self.facets.get_or_init(&self.walk)
     }
 
@@ -201,44 +175,18 @@ impl<'a> AutomorphismValidator<'a> {
     pub fn is_automorphism(&self, perm: &Perm) -> bool {
         perm.degree() == self.n
             && (self.preserves_cover(perm) || {
-                let facets = self.facet_index();
+                let facets = self.facet_set();
                 facets
-                    .keys()
-                    .all(|f| facets.contains_key(&apply_to_simplex(perm, f)))
+                    .iter()
+                    .all(|f| facets.contains(&apply_to_simplex(perm, f)))
             })
-    }
-
-    /// Filters a proposed generator set down to certified
-    /// automorphisms, preserving order.
-    pub fn certify(&self, gens: impl IntoIterator<Item = Perm>) -> Vec<Perm> {
-        gens.into_iter()
-            .filter(|g| self.is_automorphism(g))
-            .collect()
-    }
-
-    /// The permutation induced on *facet indices* (positions in the
-    /// facet listing: the complex's sorted facet order for
-    /// [`AutomorphismValidator::new`]) by a vertex automorphism, or
-    /// `None` if `perm` is not an automorphism.
-    pub fn facet_action(&self, perm: &Perm) -> Option<Perm> {
-        if perm.degree() != self.n {
-            return None;
-        }
-        let facets = self.facet_index();
-        let mut images = vec![0u32; facets.len()];
-        for (f, &i) in facets {
-            let j = facets.get(&apply_to_simplex(perm, f))?;
-            images[i] = *j as u32;
-        }
-        Perm::from_images(images)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orbits::orbit_partition;
-    use ps_topology::InternedBuilder;
+    use ps_topology::{InternedBuilder, VertexPool};
 
     /// The hollow triangle on ids {0,1,2}: facets are the three edges.
     fn hollow_triangle() -> IdComplex {
@@ -250,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_permutation_lifts_label_swap() {
+    fn label_permutation_lifts_label_swap() {
         let mut pool: VertexPool<(u32, u32)> = VertexPool::new();
         // labels (process, value)
         for p in 0..2 {
@@ -259,29 +207,29 @@ mod tests {
             }
         }
         // swap the two values
-        let perm = pool_permutation(&pool, |&(p, v)| (p, 1 - v)).unwrap();
+        let lift = |act: fn(&(u32, u32)) -> (u32, u32)| {
+            label_permutation(pool.labels(), |v| pool.id_of(v), act)
+        };
+        let perm = lift(|&(p, v)| (p, 1 - v)).unwrap();
         assert_eq!(perm.degree(), 4);
         let a = pool.id_of(&(0, 0)).unwrap();
         let b = pool.id_of(&(0, 1)).unwrap();
         assert_eq!(perm.apply(a), b);
         assert_eq!(perm.apply(b), a);
         // a non-closed action fails to lift
-        assert!(pool_permutation(&pool, |&(p, v)| (p, v + 7)).is_none());
+        assert!(lift(|&(p, v)| (p, v + 7)).is_none());
     }
 
     #[test]
-    fn triangle_rotation_is_automorphism_and_induces_facet_cycle() {
+    fn triangle_rotation_is_automorphism() {
         let c = hollow_triangle();
         let validator = AutomorphismValidator::new(&c, 3);
         let rot = Perm::from_images(vec![1, 2, 0]).unwrap();
         assert!(validator.is_automorphism(&rot));
-        // facets sorted: {0,1} < {0,2} < {1,2}; rot maps
-        // {0,1}->{1,2}, {0,2}->{0,1}, {1,2}->{0,2}
-        let fa = validator.facet_action(&rot).unwrap();
-        assert_eq!(fa.images(), &[2, 0, 1]);
-        assert_eq!(orbit_partition(3, &[fa]), vec![vec![0, 1, 2]]);
-        // the complex is genuinely preserved
-        assert_eq!(apply_to_complex(&rot, &c), c);
+        // the complex is genuinely preserved: {0,1}->{1,2},
+        // {0,2}->{0,1}, {1,2}->{0,2}
+        let image: Vec<IdSimplex> = c.facets().map(|f| apply_to_simplex(&rot, f)).collect();
+        assert!(c.facets().all(|f| image.contains(f)));
     }
 
     #[test]
@@ -295,12 +243,9 @@ mod tests {
         let validator = AutomorphismValidator::new(&c, 4);
         let bad = Perm::transposition(4, 0, 3);
         assert!(!validator.is_automorphism(&bad));
-        assert!(validator.facet_action(&bad).is_none());
         // swapping 0 and 1 is one
         let good = Perm::transposition(4, 0, 1);
         assert!(validator.is_automorphism(&good));
-        assert!(validator.facet_action(&good).unwrap().is_identity());
-        assert_eq!(validator.certify(vec![bad, good.clone()]), vec![good]);
     }
 
     /// The hollow triangle recorded as ψ({0}, {1,2}) ∪ ψ({1}, {2}):
@@ -343,11 +288,9 @@ mod tests {
         // swapping the cycle's two sides moves the pendant edges
         let bad = Perm::transposition(5, id(0), id(2));
         assert!(!validator.is_automorphism(&bad));
-        assert!(validator.facet_action(&bad).is_none());
         // swapping within a side is certified on the cover alone
         let good = Perm::transposition(5, id(2), id(3));
         assert!(validator.is_automorphism(&good));
-        assert_eq!(validator.certify(vec![bad, good.clone()]), vec![good]);
     }
 
     #[test]

@@ -41,8 +41,6 @@
 //! records. Callers using canonical keys for cache collapsing must
 //! treat inexact keys as cache misses.
 
-use ps_topology::IdComplex;
-
 use crate::perm::Perm;
 
 /// Default node budget for the partition-backtracking search.
@@ -122,13 +120,6 @@ pub fn canonical_form(
         facets,
         exact: search.exact,
     }
-}
-
-/// Convenience wrapper: canonical form of an [`IdComplex`] whose
-/// vertex ids are dense in `0..colors.len()`.
-pub fn canonical_form_of(c: &IdComplex, colors: &[u32], budget: usize) -> CanonicalForm {
-    let facets: Vec<Vec<u32>> = c.facets().map(|f| f.ids().collect()).collect();
-    canonical_form(colors.len(), &facets, colors, budget)
 }
 
 /// A candidate leaf: (labeling old→new, transported colors, relabeled
@@ -366,7 +357,6 @@ fn find(parent: &mut [usize], mut x: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps_topology::IdSimplex;
 
     fn canon(n: usize, facets: &[Vec<u32>], colors: &[u32]) -> CanonicalForm {
         canonical_form(n, facets, colors, DEFAULT_BUDGET)
@@ -447,17 +437,5 @@ mod tests {
         // deterministic for identical input
         let cf2 = canonical_form(3, &facets, &[0, 0, 0], 1);
         assert_eq!(cf, cf2);
-    }
-
-    #[test]
-    fn id_complex_wrapper_matches_flat_form() {
-        let c = IdComplex::from_facets(vec![
-            IdSimplex::from_ids(vec![0, 1, 2]),
-            IdSimplex::from_ids(vec![2, 3]),
-        ]);
-        let colors = [2, 2, 2, 8];
-        let a = canonical_form_of(&c, &colors, DEFAULT_BUDGET);
-        let b = canon(4, &[vec![0, 1, 2], vec![2, 3]], &colors);
-        assert_eq!(a, b);
     }
 }

@@ -93,75 +93,6 @@ impl Perm {
             images: self.images.iter().map(|&x| g.images[x as usize]).collect(),
         }
     }
-
-    /// The inverse permutation.
-    pub fn inverse(&self) -> Perm {
-        let mut inv = vec![0u32; self.images.len()];
-        for (i, &img) in self.images.iter().enumerate() {
-            inv[img as usize] = i as u32;
-        }
-        Perm { images: inv }
-    }
-
-    /// The points moved by this permutation, in ascending order.
-    pub fn support(&self) -> Vec<u32> {
-        self.images
-            .iter()
-            .enumerate()
-            .filter(|&(i, &img)| i as u32 != img)
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
-
-    /// The order of the permutation (smallest `m ≥ 1` with
-    /// `self^m = id`), as the lcm of its cycle lengths.
-    pub fn order(&self) -> u64 {
-        let n = self.images.len();
-        let mut seen = vec![false; n];
-        let mut ord: u64 = 1;
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            let mut len: u64 = 0;
-            let mut x = start;
-            while !seen[x] {
-                seen[x] = true;
-                x = self.images[x] as usize;
-                len += 1;
-            }
-            ord = lcm(ord, len);
-        }
-        ord
-    }
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-fn lcm(a: u64, b: u64) -> u64 {
-    if a == 0 || b == 0 {
-        0
-    } else {
-        a / gcd(a, b) * b
-    }
-}
-
-/// All transpositions `(i j)` with `i < j < n` — a generating set for
-/// the full symmetric group on `0..n`.
-pub fn transpositions(n: usize) -> Vec<Perm> {
-    let mut out = Vec::new();
-    for i in 0..n as u32 {
-        for j in (i + 1)..n as u32 {
-            out.push(Perm::transposition(n, i, j));
-        }
-    }
-    out
 }
 
 /// Every permutation of `0..n`, in lexicographic image-table order.
@@ -199,14 +130,11 @@ mod tests {
         let id = Perm::identity(4);
         assert!(id.is_identity());
         assert_eq!(id.degree(), 4);
-        assert_eq!(id.order(), 1);
         let t = Perm::transposition(4, 1, 3);
         assert!(!t.is_identity());
         assert_eq!(t.apply(1), 3);
         assert_eq!(t.apply(3), 1);
         assert_eq!(t.apply(0), 0);
-        assert_eq!(t.support(), vec![1, 3]);
-        assert_eq!(t.order(), 2);
         assert!(t.then(&t).is_identity());
     }
 
@@ -227,31 +155,15 @@ mod tests {
         assert_eq!(fg.apply(0), 2);
         assert_eq!(fg.apply(1), 0);
         assert_eq!(fg.apply(2), 1);
-        assert_eq!(fg.order(), 3);
     }
 
     #[test]
-    fn inverse_cancels() {
-        let p = Perm::from_images(vec![3, 0, 2, 4, 1]).unwrap();
-        assert!(p.then(&p.inverse()).is_identity());
-        assert!(p.inverse().then(&p).is_identity());
-    }
-
-    #[test]
-    fn transpositions_count_and_all_permutations() {
-        assert_eq!(transpositions(4).len(), 6);
+    fn all_permutations_lists_each_once() {
         let all = all_permutations(4);
         assert_eq!(all.len(), 24);
         // all distinct
         let set: std::collections::BTreeSet<_> = all.iter().cloned().collect();
         assert_eq!(set.len(), 24);
         assert!(all[0].is_identity());
-    }
-
-    #[test]
-    fn order_of_product_of_disjoint_cycles() {
-        // (0 1 2)(3 4) has order lcm(3, 2) = 6
-        let p = Perm::from_images(vec![1, 2, 0, 4, 3]).unwrap();
-        assert_eq!(p.order(), 6);
     }
 }

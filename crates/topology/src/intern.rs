@@ -1178,14 +1178,18 @@ impl<V: Label> InternedBuilder<V> {
 
 /// Calls `visit` with every tuple of the product
 /// `slots[0] × … × slots[m−1]`, in lexicographic order with slot 0 most
-/// significant (the last slot varies fastest). Visits nothing if `slots`
-/// or any slot is empty.
+/// significant (the last slot varies fastest). With no slots it visits
+/// the empty tuple once (the empty product); a slot with no options
+/// leaves nothing to visit.
 ///
-/// With every slot sorted, this is the order of the product's facets as
-/// sorted simplexes, so protocol-complex recursions walk one round's
-/// pseudosphere with it in the order the sorted complex would list it.
+/// This is the workspace's one product walk. With every slot sorted, its
+/// order is that of the product's facets as sorted simplexes, so
+/// protocol-complex recursions walk one round's pseudosphere with it in
+/// the order the sorted complex would list it. A walk whose first slot
+/// must vary fastest passes its (identical) slots and reads each tuple
+/// reversed.
 pub fn for_each_product<T>(slots: &[Vec<T>], mut visit: impl FnMut(&[&T])) {
-    if slots.is_empty() || slots.iter().any(Vec::is_empty) {
+    if slots.iter().any(Vec::is_empty) {
         return;
     }
     let mut idx = vec![0usize; slots.len()];
@@ -1247,6 +1251,32 @@ mod tests {
         let canon = VertexPool::canonical(["b", "a", "c"]);
         assert!(canon.is_canonical());
         assert_eq!(canon.labels(), &["a", "b", "c"]);
+    }
+
+    fn product(slots: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        for_each_product(slots, |pick| out.push(pick.iter().map(|&&x| x).collect()));
+        out
+    }
+
+    #[test]
+    fn product_walk_order_and_empty_cases() {
+        // slot 0 most significant, the last slot fastest
+        assert_eq!(
+            product(&[vec![1, 2], vec![3], vec![4, 5, 6]]),
+            [
+                [1, 3, 4],
+                [1, 3, 5],
+                [1, 3, 6],
+                [2, 3, 4],
+                [2, 3, 5],
+                [2, 3, 6]
+            ]
+        );
+        // a slot with no options leaves nothing to pick
+        assert!(product(&[vec![1, 2], vec![]]).is_empty());
+        // no slots: the empty product has one (empty) tuple
+        assert_eq!(product(&[]), [Vec::<u8>::new()]);
     }
 
     #[test]

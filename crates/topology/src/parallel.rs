@@ -22,6 +22,16 @@
 //!    `--threads` CLI flag),
 //! 2. the `PS_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
+//!
+//! **Memory.** Workers are fresh threads on every call, and glibc gives
+//! each thread that allocates a malloc arena of its own; a thread that
+//! exits leaves its arena, with the pages its jobs freed still resident,
+//! to whichever thread comes next. So thread timing decides which arena
+//! a job builds in, and a large job that lands beside an arena still
+//! holding an earlier job's freed pages adds them to the process's peak.
+//! [`parallel_map`] therefore returns free arena pages to the OS once
+//! its workers have exited: a call leaves resident what its results and
+//! its caller hold, not what its jobs threw away.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -104,11 +114,31 @@ where
             }
         }
     });
+    release_free_memory();
     slots
         .into_iter()
         .map(|o| o.expect("every job index assigned exactly once"))
         .collect()
 }
+
+/// Returns the free pages of every malloc arena to the OS (see the
+/// module's **Memory** note).
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+    }
+    // SAFETY: glibc's `malloc_trim` takes no pointer and frees no live
+    // allocation; it locks each arena in turn and only advises the
+    // kernel that whole pages of free chunks are unused.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+/// Without glibc there is no `malloc_trim`; nothing is released.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_memory() {}
 
 #[cfg(test)]
 mod tests {
