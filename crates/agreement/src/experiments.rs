@@ -666,13 +666,16 @@ impl SweepPoint {
     /// task), a process count outside `1..=`[`MAX_SUBSET_BASE`] (the
     /// limit of the input-face and subset enumerations), a dynamic point
     /// above [`DynamicModel::MAX_PROCESSES`] (its graph masks), a
-    /// semi-synchronous point without microrounds, and a crash budget
-    /// `f` or Byzantine budget `t` above `n`. Points from outside the
-    /// program must pass it before they run: past these bounds the
-    /// builders panic, at `k = 0` the solver would answer for a task
-    /// that does not exist, and a budget above `n` builds the complex
-    /// of budget `n` (the builders saturate there), so its verdict
-    /// would be labelled with a budget it was never computed for.
+    /// semi-synchronous point without microrounds or with more than
+    /// `2^`[`MAX_SUBSET_BASE`] failure patterns per round (`p^k` for
+    /// `k = k_per_round`, the same budget as the subset enumerations),
+    /// and a crash budget `f` or Byzantine budget `t` above `n`. Points
+    /// from outside the program must pass it before they run: past
+    /// these bounds the builders panic or abort on allocation, at
+    /// `k = 0` the solver would answer for a task that does not exist,
+    /// and a budget above `n` builds the complex of budget `n` (the
+    /// builders saturate there), so its verdict would be labelled with
+    /// a budget it was never computed for.
     pub fn check(&self) -> Result<(), String> {
         let n_plus_1 = self.shared_key().n_plus_1();
         if self.k() == 0 {
@@ -690,6 +693,19 @@ impl SweepPoint {
             )),
             SweepPoint::SemiSync { microrounds: 0, .. } => {
                 Err("the semi-synchronous model needs at least one microround, got 0".into())
+            }
+            SweepPoint::SemiSync {
+                k_per_round,
+                microrounds,
+                ..
+            } if u64::from(microrounds)
+                .checked_pow(u32::try_from(k_per_round).unwrap_or(u32::MAX))
+                .is_none_or(|patterns| patterns > 1 << MAX_SUBSET_BASE) =>
+            {
+                Err(format!(
+                    "the semi-synchronous model takes at most 2^{MAX_SUBSET_BASE} failure \
+                     patterns per round (p^k), got p = {microrounds}, k = {k_per_round}"
+                ))
             }
             SweepPoint::Async { f, .. }
             | SweepPoint::Sync { f, .. }
@@ -1058,13 +1074,16 @@ pub struct ConnectivityResult {
     /// Refutation-sound up to 2-torsion, like
     /// [`ps_topology::ConnectivityAnalyzer::mod2`].
     pub connected: bool,
-    /// Boundary columns assembled in the group's shared
-    /// [`ps_topology::PreparedBoundary`] by the time this point was answered
-    /// (cumulative within the group — later points of a group reuse the
-    /// earlier points' columns, which is the point).
+    /// Coboundary columns assembled in the group's shared
+    /// [`ps_topology::PreparedBoundary`] by the time this point was
+    /// answered: one for the augmentation, then one per `(d−1)`-simplex
+    /// for each `δ^{d−1}` reduced so far (cumulative within the group —
+    /// later points of a group reuse the earlier points' columns, which
+    /// is the point).
     pub assembled_columns: u64,
-    /// Column additions performed in the group's shared cache so far
-    /// (cumulative within the group, like `assembled_columns`).
+    /// Column additions performed reducing coboundaries in the group's
+    /// shared cache so far (cumulative within the group, like
+    /// `assembled_columns`).
     pub additions: u64,
 }
 
@@ -1090,6 +1109,8 @@ pub fn connectivity_sweep_shared(points: &[SweepPoint], threads: usize) -> Vec<C
         let complex = key.task_parts(values).into_complex();
         let (vertices, facets) = (complex.vertex_count(), complex.facet_count());
         let mut pb = ps_topology::PreparedBoundary::of_id_complex(&complex);
+        // the cache keeps its own copy of the facets
+        drop(complex);
         // ascending k: each query extends the cached reduced prefix
         let mut order = idxs.to_vec();
         order.sort_by_key(|&i| points[i].k());
@@ -1676,6 +1697,27 @@ mod tests {
             rounds: 1,
         };
         assert!(semisync.check().unwrap_err().contains("microround"));
+        // p^k failure patterns per round: `--p 4294967295` used to abort
+        // allocating the 16 GB microround list
+        let patterns = |microrounds, k_per_round| SweepPoint::SemiSync {
+            k: 1,
+            f: 1,
+            n_plus_1: 3,
+            k_per_round,
+            microrounds,
+            rounds: 1,
+        };
+        assert_eq!(patterns(1 << 20, 1).check(), Ok(()));
+        assert_eq!(patterns(3, 12).check(), Ok(()));
+        for (p, k_per_round) in [((1 << 20) + 1, 1), (3, 13), (u32::MAX, 1), (2, 64)] {
+            assert_eq!(
+                patterns(p, k_per_round).check().unwrap_err(),
+                format!(
+                    "the semi-synchronous model takes at most 2^20 failure patterns per \
+                     round (p^k), got p = {p}, k = {k_per_round}"
+                )
+            );
+        }
         // a budget above n used to build the complex of budget n
         let crash_budget = |f| {
             [

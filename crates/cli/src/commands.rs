@@ -365,8 +365,13 @@ fn complex(args: &Args) -> Result<(), ArgError> {
     let format = args.str_opt("format", "summary");
     // the sweeps' bounds on --procs, --p and the budgets; --k is a
     // per-round crash bound here, not an agreement parameter, so the
-    // check runs at k = 1
-    point_from_args(args, &model, 1, rounds)?;
+    // check runs at k = 1, and the semi-synchronous failure patterns
+    // are counted at the per-round bound the model is built with
+    let mut point = point_from_args(args, &model, 1, rounds)?;
+    if let SweepPoint::SemiSync { k_per_round, .. } = &mut point {
+        *k_per_round = k;
+        point.check().map_err(ArgError)?;
+    }
     let inputs: Vec<u8> = (0..n as u8).collect();
     let input = input_simplex(&inputs);
     let title = format!("{model} complex, {n} processes, {rounds} round(s)");
@@ -407,13 +412,13 @@ fn prove(args: &Args) -> Result<(), ArgError> {
     let k = args.usize_opt("k", 1)?;
     let p = args.u32_opt("p", 2)?;
     // the sweeps' bounds on --procs and (semisync) --p; --k is the
-    // crash bound here and prove reads no --f, so the check runs at
-    // k = 1, f = 0
+    // per-round crash bound the model is built with and prove reads no
+    // --f, so the check runs at k = 1, f = 0
     SweepPoint::SemiSync {
         k: 1,
         f: 0,
         n_plus_1: n,
-        k_per_round: 1,
+        k_per_round: k,
         microrounds: if model == "semisync" { p } else { 1 },
         rounds: 1,
     }
@@ -973,10 +978,11 @@ fn homology_model(args: &Args, model: &str) -> Result<(), ArgError> {
     });
     let id = parts.into_complex();
 
-    let t_basis = Instant::now();
+    let t_prepare = Instant::now();
     let mut pb = PreparedBoundary::of_id_complex(&id);
-    let t_basis = t_basis.elapsed();
+    let t_prepare = t_prepare.elapsed();
 
+    // enumerates each dimension's basis on first need, then reduces
     let t_reduce = Instant::now();
     let betti = pb.betti_mod2();
     let t_reduce = t_reduce.elapsed();
@@ -1007,12 +1013,12 @@ fn homology_model(args: &Args, model: &str) -> Result<(), ArgError> {
         q => q.to_string(),
     };
     println!("  homological connectivity (mod 2): {conn}");
-    println!("  boundary columns assembled: {}", pb.assembled_columns());
+    println!("  coboundary columns assembled: {}", pb.assembled_columns());
     println!("  reduction work: {}", pb.stats());
     println!(
-        "  time: complex {:.3}s, basis {:.3}s, reduce {:.3}s, warm re-query {:.6}s",
+        "  time: complex {:.3}s, prepare {:.3}s, reduce {:.3}s, warm re-query {:.6}s",
         t_build.as_secs_f64(),
-        t_basis.as_secs_f64(),
+        t_prepare.as_secs_f64(),
         t_reduce.as_secs_f64(),
         t_warm.as_secs_f64()
     );

@@ -275,7 +275,13 @@ fn out_of_range_sizes_rejected() {
     let f_bound = |f| format!("the crash budget f must be at most n = 2 for 3 processes, got {f}");
     let t_bound =
         |t| format!("the Byzantine budget t must be at most n = 2 for 3 processes, got {t}");
-    let table: [(&[&str], &[&str], String); 23] = [
+    let patterns = |p| {
+        format!(
+            "the semi-synchronous model takes at most 2^20 failure patterns per round (p^k), \
+             got p = {p}, k = 1"
+        )
+    };
+    let table: [(&[&str], &[&str], String); 25] = [
         // 9 processes have 72 ordered pairs, more than the 64-bit edge
         // mask holds; the shifts used to wrap and answer on the wrong
         // complex
@@ -312,6 +318,18 @@ fn out_of_range_sizes_rejected() {
             &["prove"],
             &["semisync", "--p", "0"],
             "the semi-synchronous model needs at least one microround, got 0".into(),
+        ),
+        // the list of p microrounds per crashed process used to abort
+        // the process on allocation (16 GB at p = 2^32 − 1)
+        (
+            ALL,
+            &["semisync", "--p", "4294967295"],
+            patterns(4294967295u32),
+        ),
+        (
+            &["prove"],
+            &["semisync", "--p", "4294967295"],
+            patterns(4294967295),
         ),
         // a grid without rounds used to sweep r = 1 quietly
         (

@@ -135,9 +135,9 @@ impl Homology {
     /// Computes reduced Betti numbers over GF(2) only (fast path; no
     /// torsion). Index `d` of the result is the reduced `d`-th Betti
     /// number mod 2. Uses the bit-packed low-pivot reduction of
-    /// [`crate::sparse_gf2`] via [`PreparedBoundary`] (top-down, with
-    /// the clearing optimization), which handles the 10^5-facet
-    /// protocol complexes the dense engine cannot.
+    /// [`crate::sparse_gf2`] via [`PreparedBoundary`] (coboundaries,
+    /// bottom-up, with the clearing optimization), which handles the
+    /// 10^5-facet protocol complexes the dense engine cannot.
     ///
     /// For repeated queries against one complex — sweeps, bounded
     /// connectivity checks — build a [`PreparedBoundary`] instead and

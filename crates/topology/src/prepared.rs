@@ -1,34 +1,37 @@
-//! Incremental homology over a fixed complex: reduced boundary
-//! prefixes, cached across queries.
+//! Incremental homology over a fixed complex: reduced coboundaries,
+//! built and cached only as far as the queries reach.
 //!
 //! [`PreparedBoundary`] is the chain-level analogue of `ps-agreement`'s
-//! `PreparedInstance`: one interning / basis-enumeration pass over a
-//! (usually huge, shared) [`IdComplex`], after which every Betti /
-//! connectivity query pays only for the reductions it has not already
-//! performed. A `k`-sweep over one protocol complex asks "is it
-//! `(k−1)`-connected?" for many `k`; the first query reduces boundaries
-//! `∂_0 .. ∂_q`, and each later query extends that *reduced prefix*
-//! upward instead of starting over. Each `∂_d` is assembled once, right
-//! before its reduction, and dropped after it: only the reductions are
-//! kept.
+//! `PreparedInstance`: prepared once over a (usually huge, shared)
+//! [`IdComplex`], after which every Betti / connectivity query pays
+//! only for the work no earlier query did. Preparing copies the facets'
+//! id lists and nothing else. The first query that needs dimension `d`
+//! enumerates the `d`-simplexes: every `(d+1)`-subset of every facet
+//! becomes a fixed-width key, and one `sort_unstable` plus `dedup`
+//! leaves them in lexicographic order.
 //!
-//! Every query has one reduction order: [`PreparedBoundary::betti_mod2`]
-//! reduces top-down with clearing, while
-//! [`PreparedBoundary::homological_connectivity`] and
-//! [`PreparedBoundary::is_q_connected`] reduce lazily bottom-up. Mixing
-//! them on one cache is sound because everything cached is canonical:
-//! GF(2) ranks are basis-order-independent integers, and pivot lows are
-//! invariant under the clearing optimization (see [`crate::sparse_gf2`]).
-//! No query reads the thread count, so results and work counters are
-//! the same at every thread count.
+//! Ranks come from the coboundaries: `rank ∂_d = rank δ^{d−1}`, its
+//! transpose, with one column per `(d−1)`-simplex and one row per
+//! `d`-simplex (`δ^{−1}` is the transposed augmentation: one column
+//! over every vertex). Every query reduces them in one order,
+//! bottom-up, and reduces `δ^{d−1}` with the pivot lows of `δ^{d−2}` as
+//! cleared columns: since `δδ = 0`, each such column reduces to zero
+//! (the cohomology twist; see [`crate::sparse_gf2`]). A query that
+//! stops at the first non-zero Betti number, or at `q`, touches no
+//! dimension above `q + 1`; the reduced prefix stays cached and later
+//! queries extend it. Each `δ^{d−1}` is assembled right before its
+//! reduction and dropped after it. No query reads the thread count, so
+//! results and work counters are the same at every thread count.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
-use crate::intern::{IdComplex, IdSimplex};
+use crate::intern::IdComplex;
 use crate::sparse_gf2::{Reduction, ReductionStats, SparseGf2Matrix};
 use crate::{Complex, Label};
 
-/// Cached reductions of the boundary matrices of one simplicial complex.
+/// Cached coboundary reductions of one simplicial complex.
 ///
 /// # Examples
 ///
@@ -42,29 +45,91 @@ use crate::{Complex, Label};
 /// ```
 #[derive(Debug)]
 pub struct PreparedBoundary {
-    /// `basis[d]` = the `d`-simplexes in lexicographic (id) order.
-    basis: Vec<Vec<IdSimplex>>,
-    /// Cached reductions of `∂_d`.
-    reductions: Vec<Option<Reduction>>,
-    /// Columns assembled so far (work counter).
+    /// The facets grouped by vertex count: `facets[m]` holds every
+    /// `m`-vertex facet's ascending ids, back to back.
+    facets: BTreeMap<usize, Vec<u32>>,
+    /// `faces[d]` = the `d`-simplexes, enumerated on first need.
+    faces: Vec<OnceLock<Faces>>,
+    /// `reductions[d]` = the reduction of `δ^{d−1}`, whose rank is
+    /// `rank ∂_d`; always a bottom-up prefix.
+    reductions: Vec<Reduction>,
+    /// Coboundary columns assembled so far (work counter).
     assembled_columns: u64,
 }
 
+/// The `d`-simplexes of a complex in lexicographic order, each as its
+/// `width = d + 1` ascending ids, back to back.
+#[derive(Debug)]
+struct Faces {
+    width: usize,
+    keys: Vec<u32>,
+}
+
+impl Faces {
+    fn len(&self) -> usize {
+        self.keys.len() / self.width
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.keys.chunks_exact(self.width)
+    }
+
+    /// The position of `face` (ascending ids, `width` of them).
+    fn index_of(&self, face: &[u32]) -> u32 {
+        let w = self.width;
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.keys[mid * w..(mid + 1) * w].cmp(face) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return mid as u32,
+            }
+        }
+        panic!("face missing from basis")
+    }
+}
+
+/// `C(m, w)`.
+fn binomial(m: usize, w: usize) -> usize {
+    (0..w).fold(1, |acc, i| acc * (m - i) / (i + 1))
+}
+
+/// Sorts and deduplicates `keys`, read as `W`-wide rows, in place.
+fn sort_dedup<const W: usize>(keys: &mut Vec<u32>) {
+    let (rows, rest) = keys.as_chunks_mut::<W>();
+    debug_assert!(rest.is_empty());
+    rows.sort_unstable();
+    let mut kept = 0;
+    for i in 0..rows.len() {
+        if kept == 0 || rows[i] != rows[kept - 1] {
+            rows[kept] = rows[i];
+            kept += 1;
+        }
+    }
+    keys.truncate(kept * W);
+}
+
 impl PreparedBoundary {
-    /// Prepares the boundary cache of an interned complex (the basis
-    /// enumeration happens here; columns are assembled lazily).
+    /// Prepares the coboundary cache of an interned complex: copies the
+    /// facets' ids; every basis is enumerated and every column
+    /// assembled lazily.
     pub fn of_id_complex(k: &IdComplex) -> Self {
-        let basis = k.all_simplices();
-        let reductions = (0..basis.len()).map(|_| None).collect();
+        let mut facets: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+        for f in k.facets() {
+            facets.entry(f.len()).or_default().extend(f.ids());
+        }
+        let top = facets.keys().next_back().map_or(0, |&m| m);
         PreparedBoundary {
-            basis,
-            reductions,
+            facets,
+            faces: (0..top).map(|_| OnceLock::new()).collect(),
+            reductions: Vec::new(),
             assembled_columns: 0,
         }
     }
 
-    /// Prepares the boundary cache of a label-typed complex (interns it
-    /// first; prefer [`PreparedBoundary::of_id_complex`] when the
+    /// Prepares the coboundary cache of a label-typed complex (interns
+    /// it first; prefer [`PreparedBoundary::of_id_complex`] when the
     /// interned form is already at hand).
     pub fn of_complex<V: Label>(k: &Complex<V>) -> Self {
         let (_pool, idc) = k.to_interned();
@@ -73,21 +138,70 @@ impl PreparedBoundary {
 
     /// Top dimension, `-1` if void.
     pub fn dim(&self) -> i32 {
-        self.basis.len() as i32 - 1
+        self.faces.len() as i32 - 1
+    }
+
+    /// The `d`-simplexes (`0 ≤ d ≤ dim`), enumerated on first need.
+    fn faces(&self, d: usize) -> &Faces {
+        self.faces[d].get_or_init(|| {
+            let width = d + 1;
+            let total = self
+                .facets
+                .range(width..)
+                .map(|(&m, ids)| ids.len() / m * binomial(m, width) * width)
+                .sum();
+            let mut keys = Vec::with_capacity(total);
+            let mut pick: Vec<usize> = Vec::with_capacity(width);
+            for (&m, ids) in self.facets.range(width..) {
+                for facet in ids.chunks_exact(m) {
+                    // every width-subset of the facet, lexicographically
+                    pick.clear();
+                    pick.extend(0..width);
+                    loop {
+                        keys.extend(pick.iter().map(|&i| facet[i]));
+                        let Some(i) = (0..width).rev().find(|&i| pick[i] < m - width + i) else {
+                            break;
+                        };
+                        pick[i] += 1;
+                        for j in i + 1..width {
+                            pick[j] = pick[j - 1] + 1;
+                        }
+                    }
+                }
+            }
+            match width {
+                1 => sort_dedup::<1>(&mut keys),
+                2 => sort_dedup::<2>(&mut keys),
+                3 => sort_dedup::<3>(&mut keys),
+                4 => sort_dedup::<4>(&mut keys),
+                5 => sort_dedup::<5>(&mut keys),
+                6 => sort_dedup::<6>(&mut keys),
+                7 => sort_dedup::<7>(&mut keys),
+                8 => sort_dedup::<8>(&mut keys),
+                _ => {
+                    let mut rows: Vec<&[u32]> = keys.chunks_exact(width).collect();
+                    rows.sort_unstable();
+                    rows.dedup();
+                    keys = rows.concat();
+                }
+            }
+            keys.shrink_to_fit();
+            Faces { width, keys }
+        })
     }
 
     /// Number of `d`-simplexes (`0` outside range).
     pub fn size(&self, d: i32) -> usize {
-        if d < 0 || d as usize >= self.basis.len() {
+        if d < 0 || d > self.dim() {
             0
         } else {
-            self.basis[d as usize].len()
+            self.faces(d as usize).len()
         }
     }
 
     /// The f-vector: `f[d]` = number of `d`-simplexes.
     pub fn f_vector(&self) -> Vec<usize> {
-        self.basis.iter().map(Vec::len).collect()
+        (0..=self.dim()).map(|d| self.size(d)).collect()
     }
 
     /// Euler characteristic `Σ (-1)^d f_d`.
@@ -99,83 +213,85 @@ impl PreparedBoundary {
             .sum()
     }
 
-    /// Columns assembled so far across all dimensions (work counter).
+    /// Coboundary columns assembled so far across all dimensions (work
+    /// counter): `δ^{d−1}` has one column per `(d−1)`-simplex, and
+    /// `δ^{−1}` one column.
     pub fn assembled_columns(&self) -> u64 {
         self.assembled_columns
     }
 
-    /// Aggregated work counters of every reduction performed so far.
+    /// Aggregated work counters of every coboundary reduction performed
+    /// so far.
     pub fn stats(&self) -> ReductionStats {
         let mut out = ReductionStats::default();
-        for r in self.reductions.iter().flatten() {
+        for r in &self.reductions {
             out.merge(&r.stats());
         }
         out
     }
 
-    /// Assembles `∂_d` (`d = 0` is the augmentation row). The row index
-    /// of the `(d−1)`-simplexes lives only as long as the assembly.
+    /// Assembles `δ^{d−1}`: one column per `(d−1)`-simplex, one row per
+    /// `d`-simplex (`d = 0` is the transposed augmentation, a single
+    /// column over every vertex). Walking the rows in order fills each
+    /// column's rows ascending.
     fn assemble(&self, d: usize) -> SparseGf2Matrix {
-        let cols = self.basis[d].len();
+        let rows = self.faces(d);
         if d == 0 {
-            // augmentation: every vertex maps to the empty simplex
-            return SparseGf2Matrix::from_columns(1, vec![vec![0]; cols]);
+            return SparseGf2Matrix::from_columns(
+                rows.len(),
+                vec![(0..rows.len() as u32).collect()],
+            );
         }
-        let rows: HashMap<&IdSimplex, u32> = self.basis[d - 1]
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s, i as u32))
-            .collect();
-        let columns = self.basis[d]
-            .iter()
-            .map(|s| {
-                s.boundary_faces()
-                    .map(|face| *rows.get(&face).expect("face missing from basis"))
-                    .collect()
-            })
-            .collect();
-        SparseGf2Matrix::from_columns(self.basis[d - 1].len(), columns)
+        let cols = self.faces(d - 1);
+        let mut columns = vec![Vec::new(); cols.len()];
+        let mut face = Vec::with_capacity(d);
+        for (row, simplex) in rows.iter().enumerate() {
+            for skip in 0..=d {
+                face.clear();
+                face.extend_from_slice(&simplex[..skip]);
+                face.extend_from_slice(&simplex[skip + 1..]);
+                columns[cols.index_of(&face) as usize].push(row as u32);
+            }
+        }
+        SparseGf2Matrix::from_columns(rows.len(), columns)
     }
 
-    /// Assembles and reduces `∂_d` if not cached, clearing against the
-    /// cached reduction of `∂_{d+1}` when one is available (`∂_{dim+1} =
-    /// 0` counts as available and clears nothing).
-    fn ensure_reduction(&mut self, d: usize) {
-        if self.reductions[d].is_some() {
-            return;
+    /// Reduces the coboundaries bottom-up through `δ^{d−1}` if not
+    /// cached, each one cleared by the pivot lows of the one below it
+    /// (`δ^{−1}` has none below and clears nothing).
+    fn reduce_through(&mut self, d: usize) {
+        while self.reductions.len() <= d {
+            let coboundary = self.assemble(self.reductions.len());
+            self.assembled_columns += coboundary.cols() as u64;
+            let cleared = self
+                .reductions
+                .last()
+                .map_or(&[][..], Reduction::pivot_lows);
+            let reduction = coboundary.reduce_cleared(cleared);
+            self.reductions.push(reduction);
         }
-        let boundary = self.assemble(d);
-        self.assembled_columns += self.basis[d].len() as u64;
-        let cleared = match self.reductions.get(d + 1) {
-            Some(Some(above)) => above.pivot_lows(),
-            _ => &[],
-        };
-        self.reductions[d] = Some(boundary.reduce_cleared(cleared));
     }
 
-    /// GF(2) rank of `∂_d` (`0` outside `0..=dim`), reducing lazily.
+    /// GF(2) rank of `∂_d` (`0` outside `0..=dim`), reduced lazily as
+    /// the rank of its transpose `δ^{d−1}`.
     pub fn rank(&mut self, d: i32) -> usize {
-        if d < 0 || d as usize >= self.basis.len() {
+        if d < 0 || d > self.dim() {
             return 0;
         }
-        self.ensure_reduction(d as usize);
-        self.reductions[d as usize].as_ref().expect("cached").rank()
+        self.reduce_through(d as usize);
+        self.reductions[d as usize].rank()
     }
 
     /// Reduced mod-2 Betti number in dimension `d`, reducing lazily
-    /// (`∂_d` and `∂_{d+1}` only — a connectivity query that stops at
-    /// the first non-zero Betti number never touches higher boundaries).
+    /// (coboundaries through `δ^d` only — a connectivity query that
+    /// stops at the first non-zero Betti number never touches higher
+    /// dimensions).
     pub fn betti(&mut self, d: i32) -> usize {
         self.size(d) - self.rank(d) - self.rank(d + 1)
     }
 
-    /// All reduced mod-2 Betti numbers, `d = 0..=dim`. The dimensions
-    /// not yet cached reduce top-down, so each reduction's pivot lows
-    /// clear the next-lower matrix.
+    /// All reduced mod-2 Betti numbers, `d = 0..=dim`.
     pub fn betti_mod2(&mut self) -> Vec<usize> {
-        for d in (0..self.basis.len()).rev() {
-            self.ensure_reduction(d);
-        }
         (0..=self.dim()).map(|d| self.betti(d)).collect()
     }
 
@@ -184,9 +300,9 @@ impl PreparedBoundary {
     /// Betti numbers vanish) — the mod-2 counterpart of
     /// [`crate::Homology::homological_connectivity`].
     ///
-    /// Reduces bottom-up and stops at the first non-zero Betti number,
-    /// so a refuted query on a huge complex touches only a prefix of the
-    /// boundary matrices; the prefix stays cached for later queries.
+    /// Stops at the first non-zero Betti number, so a refuted query on
+    /// a huge complex touches only a prefix of the dimensions; the
+    /// prefix stays cached for later queries.
     pub fn homological_connectivity(&mut self) -> i32 {
         let dim = self.dim();
         if dim < 0 {
@@ -205,8 +321,8 @@ impl PreparedBoundary {
     /// including the void one, is vacuously `q`-connected for `q < -1`;
     /// `q = -1` asks only for nonemptiness. Lazy like
     /// [`PreparedBoundary::homological_connectivity`], but also stops at
-    /// `q` on the certifying side, so it can be cheaper than computing
-    /// the full connectivity.
+    /// `q` on the certifying side: it enumerates and reduces nothing
+    /// above dimension `q + 1`.
     pub fn is_q_connected(&mut self, q: i32) -> bool {
         if q < -1 {
             return true;
@@ -245,6 +361,13 @@ mod tests {
         Complex::from_facets(facets)
     }
 
+    /// The dimensions enumerated so far.
+    fn enumerated(pb: &PreparedBoundary) -> Vec<usize> {
+        (0..pb.faces.len())
+            .filter(|&d| pb.faces[d].get().is_some())
+            .collect()
+    }
+
     #[test]
     fn betti_matches_homology_on_fixtures() {
         for c in [
@@ -258,6 +381,32 @@ mod tests {
             let mut pb = PreparedBoundary::of_complex(&c);
             assert_eq!(pb.betti_mod2(), expected, "{c:?}");
         }
+    }
+
+    #[test]
+    fn wider_than_the_fixed_width_keys() {
+        // ∂Δ⁹ = S⁸ reaches width 9, Δ¹¹ width 12: both past the
+        // const-generic widths, so their top bases take the slice sort
+        let sphere = Complex::simplex(Simplex::from_iter(0u32..10)).skeleton(8);
+        let solid = Complex::simplex(Simplex::from_iter(0u32..12));
+        for (c, expected) in [
+            (sphere, [vec![0; 8], vec![1]].concat()),
+            (solid, vec![0; 12]),
+        ] {
+            let mut pb = PreparedBoundary::of_complex(&c);
+            assert_eq!(pb.f_vector(), c.f_vector());
+            assert_eq!(pb.betti_mod2(), expected);
+            assert_eq!(Homology::betti_mod2_dense(&c), expected);
+        }
+    }
+
+    #[test]
+    fn mixed_facet_sizes() {
+        // a triangle with a dangling edge and an isolated vertex
+        let c = Complex::from_facets([s(&[0, 1, 2]), s(&[2, 3]), s(&[7])]);
+        let mut pb = PreparedBoundary::of_complex(&c);
+        assert_eq!(pb.f_vector(), vec![5, 4, 1]);
+        assert_eq!(pb.betti_mod2(), Homology::betti_mod2_dense(&c));
     }
 
     #[test]
@@ -301,21 +450,35 @@ mod tests {
     }
 
     #[test]
+    fn query_touches_only_its_window() {
+        // ∂Δ⁵ = S⁴: 6 vertices, 15 edges, …
+        let sphere = Complex::simplex(Simplex::from_iter(0u32..6)).skeleton(4);
+        let mut pb = PreparedBoundary::of_complex(&sphere);
+        assert!(enumerated(&pb).is_empty(), "preparing enumerates nothing");
+        assert!(pb.is_q_connected(0));
+        // δ^{−1} and δ^0 only: one augmentation column plus f₀
+        assert_eq!(pb.assembled_columns(), 1 + 6);
+        assert_eq!(enumerated(&pb), vec![0, 1]);
+        assert_eq!(pb.betti_mod2(), vec![0, 0, 0, 0, 1]);
+        assert_eq!(enumerated(&pb), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
     fn counters_accumulate() {
         let mut pb = PreparedBoundary::of_complex(&torus());
         assert_eq!(pb.assembled_columns(), 0);
         let _ = pb.betti_mod2();
-        // 7 vertices + 21 edges + 14 triangles
-        assert_eq!(pb.assembled_columns(), 42);
+        // δ^{−1}, δ^0, δ^1: 1 augmentation column + 7 vertices + 21 edges
+        assert_eq!(pb.assembled_columns(), 29);
         let stats = pb.stats();
-        assert_eq!(stats.columns, 42);
-        assert!(stats.cleared > 0, "top-down pass must clear columns");
+        assert_eq!(stats.columns, 29);
+        assert!(stats.cleared > 0, "bottom-up pass must clear columns");
         // repeated queries do no new work
         let before = pb.stats();
         let _ = pb.betti_mod2();
         let _ = pb.homological_connectivity();
         assert_eq!(pb.stats(), before);
-        assert_eq!(pb.assembled_columns(), 42);
+        assert_eq!(pb.assembled_columns(), 29);
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Sparse, bit-packed GF(2) linear algebra for huge boundary matrices.
+//! Sparse, bit-packed GF(2) linear algebra for huge boundary and
+//! coboundary matrices.
 //!
-//! Boundary matrices of protocol complexes are extremely sparse (a
-//! `d`-simplex has `d + 1` faces, while the complex can have hundreds of
-//! thousands of columns) but their rows cluster: a column's support
-//! lives in a handful of 64-row windows. [`SparseGf2Matrix`] stores each
-//! column as a sorted run of `Block`s — a `u32` word index plus a
-//! `u64` lane of 64 row-bits — so a column addition is a sorted merge
-//! whose unit of work is one word-XOR over 64 rows, not one row.
+//! The boundary and coboundary matrices of protocol complexes are
+//! extremely sparse (a `d`-simplex has `d + 1` faces and, in these
+//! complexes, a few dozen cofaces, while the complex can have hundreds
+//! of thousands of simplexes) and their rows cluster: a column's
+//! support lives in a handful of 64-row windows. [`SparseGf2Matrix`]
+//! stores each column as a sorted run of `Block`s — a `u32` word index
+//! plus a `u64` lane of 64 row-bits — so a column addition is a sorted
+//! merge whose unit of work is one word-XOR over 64 rows, not one row.
 //!
 //! Rank is computed by the *low-pivot* column reduction of persistent
 //! homology: process columns left to right, and while a column's lowest
@@ -18,21 +20,23 @@
 //!
 //! Two standard accelerations, both exact:
 //!
-//! * **Clearing (the "twist").** If the reduction of `∂_{d+1}` leaves a
-//!   pivot in row `r`, the reduced column witnesses that column `r` of
-//!   `∂_d` is a GF(2) sum of earlier columns (because `∂_d ∂_{d+1} = 0`),
-//!   so it reduces to zero; [`SparseGf2Matrix::reduce_cleared`] skips it
-//!   without doing the work. Reducing dimensions top-down clears the
-//!   bulk of every lower matrix. This applies to the augmentation `∂_0`
-//!   too, since `ε ∂_1 = 0 (mod 2)`.
+//! * **Clearing (the "twist").** Let `A` and `B` be matrices with
+//!   `B A = 0`, where `B`'s columns are indexed like `A`'s rows (in
+//!   the same order). If the reduction of `A` leaves a pivot in row
+//!   `r`, the reduced column witnesses that column `r` of `B` is a
+//!   GF(2) sum of earlier columns, so it reduces to zero;
+//!   [`SparseGf2Matrix::reduce_cleared`] skips it without doing the
+//!   work. For boundaries (`A = ∂_{d+1}`, `B = ∂_d`) that means
+//!   reducing top-down; [`crate::PreparedBoundary`] reduces
+//!   coboundaries (`A = δ^{d−1}`, `B = δ^d`) instead, where clearing
+//!   runs bottom-up, the order in which a lazy connectivity query
+//!   walks. The augmentation takes part too, since `ε ∂_1 = 0 (mod 2)`.
 //! * **Early exit.** Once the running rank equals the row count, every
 //!   remaining column must reduce to zero; they are skipped wholesale
 //!   (this makes the one-row augmentation matrix free).
 //!
 //! Both optimizations change *work*, never *results*: rank and pivot
-//! lows are identical with or without them, which is what lets
-//! [`crate::PreparedBoundary`] cache reductions across clearing and
-//! non-clearing call paths.
+//! lows are identical with or without them.
 
 use std::collections::HashMap;
 
@@ -201,8 +205,9 @@ impl Reduction {
     }
 
     /// The pivot rows ("lows"), ascending. Canonical for a fixed column
-    /// order; a pivot in row `r` of `∂_{d+1}` certifies that column `r`
-    /// of `∂_d` reduces to zero (the clearing optimization).
+    /// order; a pivot in row `r` of `A` certifies that column `r` of
+    /// any `B` with `B A = 0` reduces to zero (the clearing
+    /// optimization).
     pub fn pivot_lows(&self) -> &[u32] {
         &self.pivot_lows
     }
@@ -270,9 +275,11 @@ impl SparseGf2Matrix {
     /// Reduces the matrix, skipping the columns listed in `cleared`
     /// (sorted ascending) as known-zero-reducible.
     ///
-    /// `cleared` must be exactly (a subset of) the pivot lows of the
-    /// reduced next-higher boundary matrix — see [`Reduction::pivot_lows`]
-    /// — which is what makes the skip exact rather than heuristic.
+    /// `cleared` must be (a subset of) the pivot lows of a reduced
+    /// matrix `A` with `self · A = 0` — the next-higher boundary
+    /// matrix, or the next-lower coboundary; see
+    /// [`Reduction::pivot_lows`] — which is what makes the skip exact
+    /// rather than heuristic.
     pub fn reduce_cleared(&self, cleared: &[u32]) -> Reduction {
         debug_assert!(cleared.windows(2).all(|w| w[0] < w[1]));
         let mut stats = ReductionStats {
